@@ -103,12 +103,12 @@ def fit_autoencoder(inputs, latent_dim, epochs=100, lr=1e-3, batch_size=64,
             idx = order[start : start + batch_size]
             x = inputs[idx]
             t = targets[idx]
-            z = forward(encoder, x)
-            recon = forward(decoder, z)
-            g_flat = loss_grad("mse", recon.ravel(), t.ravel())
-            g_out = g_flat.reshape(recon.shape)
-            dec_grads = backward(decoder, z, g_out)
-            enc_grads = backward(encoder, x, dec_grads.inputs)
+            enc = forward(encoder, x, record=True)
+            dec = forward(decoder, enc.output, record=True)
+            g_flat = loss_grad("mse", dec.output.ravel(), t.ravel())
+            g_out = g_flat.reshape(dec.output.shape)
+            dec_grads = backward(decoder, dec, g_out)
+            enc_grads = backward(encoder, enc, dec_grads.inputs)
             adam_step(decoder, dec_grads, dec_state)
             adam_step(encoder, enc_grads, enc_state)
     return Autoencoder(encoder, decoder, latent_dim)

@@ -15,7 +15,7 @@ BUILTIN_SPECS; raw CSVs are not vendored and must be supplied by the caller
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -31,7 +31,7 @@ from .config import (
     get_list,
     get_str,
 )
-from .data import DatasetSpec, RawTable, builtin_spec, load_csv, preprocess, split
+from .data import DatasetSpec, builtin_spec, load_csv, preprocess, split
 from .metrics import (
     benefits,
     classification_metrics,
@@ -211,6 +211,9 @@ def evaluate_scores(scores, test_ds, cv_sqrt=False) -> dict:
             "wasserstein": float(np.mean(w_vals)),
             "gaussian_mmd": float(np.mean(m_vals)),
         }
+    # not np.unique: on floats it imports numpy.ma, ~1.4 MB of peak RSS
+    if np.all(y == y[0]):
+        raise MethodFailed("the test split has a single class")
     hard = (scores >= 0.0).astype(float)
     precision, recall, f1, bacc = classification_metrics(hard, y)
     b, _ = benefits(hard, y)
@@ -306,7 +309,7 @@ def run_one_repeat(args):
             results.append(
                 RunResult(method, seed, metrics, time.perf_counter() - started, False)
             )
-        except (MethodFailed, ValueError) as exc:
+        except MethodFailed as exc:
             results.append(
                 RunResult(method, seed, None, time.perf_counter() - started, True, str(exc))
             )

@@ -11,7 +11,7 @@ All functions are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,28 +26,6 @@ class ConfusionCounts:
     @property
     def n(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass
-class GroupedPredictions:
-    """Predictions with one group label per entry, for distance metrics."""
-
-    predictions: np.ndarray
-    group_labels: np.ndarray
-
-    def __post_init__(self):
-        self.predictions = np.asarray(self.predictions, dtype=float).ravel()
-        self.group_labels = np.asarray(self.group_labels).ravel()
-        if self.predictions.size != self.group_labels.size:
-            raise ValueError("predictions and group labels must have equal length")
-
-
-@dataclass
-class MetricReport:
-    """Metric values for one model on one test split; keys depend on task."""
-
-    task: str
-    values: dict = field(default_factory=dict)
 
 
 def regression_metrics(pred, y):
@@ -204,11 +182,14 @@ def group_fairness(predictions, group_labels):
 
     Groups are taken from the distinct labels; at least two must be present.
     """
-    gp = GroupedPredictions(predictions, group_labels)
-    labels = np.unique(gp.group_labels)
+    predictions = np.asarray(predictions, dtype=float).ravel()
+    group_labels = np.asarray(group_labels).ravel()
+    if predictions.size != group_labels.size:
+        raise ValueError("predictions and group labels must have equal length")
+    labels = np.unique(group_labels)
     if labels.size < 2:
         raise ValueError("need at least two groups for distance metrics")
-    chunks = {lab: gp.predictions[gp.group_labels == lab] for lab in labels}
+    chunks = {lab: predictions[group_labels == lab] for lab in labels}
     w_vals = []
     m_vals = []
     for i in range(labels.size):

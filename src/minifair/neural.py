@@ -125,36 +125,32 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return leaky_relu_grad(z)
 
 
-def _check_batch(net: MLP, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2:
-        raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
-    if batch.shape[1] != net.in_dim:
-        raise ShapeError(f"batch has {batch.shape[1]} columns, network expects {net.in_dim}")
-    return batch
+@dataclass
+class ForwardPass:
+    """One recorded forward pass: each layer's input and pre-activation.
 
-
-def forward(net: MLP, batch: np.ndarray) -> np.ndarray:
-    """Activations of the final layer for a (n, in_dim) batch."""
-    a = _check_batch(net, batch)
-    for layer in net.layers:
-        a = _activate(a @ layer.weights + layer.bias, layer.activation)
-    return a
-
-
-def backward(net: MLP, batch: np.ndarray, loss_grad_at_output: np.ndarray) -> Gradients:
-    """Exact reverse-mode gradients of a scalar loss.
-
-    loss_grad_at_output is d(loss)/d(final activations), shape (n, out_dim).
-    Returns gradients for every weight and bias plus the input batch.
+    backward reads these instead of replaying the pass, so a record is valid
+    only until the network's parameters change. len() is the row count.
     """
-    a = _check_batch(net, batch)
-    g = np.asarray(loss_grad_at_output, dtype=float)
-    if g.shape != (a.shape[0], net.out_dim):
-        raise ShapeError(
-            f"output gradient shape {g.shape} does not match ({a.shape[0]}, {net.out_dim})"
-        )
 
+    inputs: list
+    pre_acts: list
+    output: np.ndarray
+
+    def __len__(self) -> int:
+        return self.output.shape[0]
+
+
+def forward(net: MLP, batch: np.ndarray, record: bool = False) -> np.ndarray | ForwardPass:
+    """Activations of the final layer for a (n, in_dim) batch.
+
+    With record=True returns the ForwardPass that backward takes instead.
+    """
+    a = np.asarray(batch, dtype=float)
+    if a.ndim != 2:
+        raise ShapeError(f"batch must be 2-D, got shape {a.shape}")
+    if a.shape[1] != net.in_dim:
+        raise ShapeError(f"batch has {a.shape[1]} columns, network expects {net.in_dim}")
     inputs = []
     pre_acts = []
     for layer in net.layers:
@@ -162,12 +158,27 @@ def backward(net: MLP, batch: np.ndarray, loss_grad_at_output: np.ndarray) -> Gr
         z = a @ layer.weights + layer.bias
         pre_acts.append(z)
         a = _activate(z, layer.activation)
+    return ForwardPass(inputs, pre_acts, a) if record else a
+
+
+def backward(net: MLP, recorded: ForwardPass, loss_grad_at_output: np.ndarray) -> Gradients:
+    """Exact reverse-mode gradients of a scalar loss.
+
+    recorded is forward(net, batch, record=True) under the current parameters;
+    loss_grad_at_output is d(loss)/d(final activations), shape (n, out_dim).
+    Returns gradients for every weight and bias plus the input batch.
+    """
+    g = np.asarray(loss_grad_at_output, dtype=float)
+    if g.shape != (len(recorded), net.out_dim):
+        raise ShapeError(
+            f"output gradient shape {g.shape} does not match ({len(recorded)}, {net.out_dim})"
+        )
 
     layer_grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        g = g * _activate_grad(pre_acts[i], layer.activation)
-        d_w = inputs[i].T @ g
+        g = g * _activate_grad(recorded.pre_acts[i], layer.activation)
+        d_w = recorded.inputs[i].T @ g
         d_b = g.sum(axis=0)
         layer_grads[i] = (d_w, d_b)
         g = g @ layer.weights.T

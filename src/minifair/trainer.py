@@ -19,6 +19,12 @@ The one-sided leaky gap penalty makes "total" fair_mode drift the fair
 scores systematically below the adversary's, so "own_loss" is the default
 for both predictors.
 
+Each minibatch records the three players' passes once and backpropagates
+through the records. A pass is recorded again only after a player it depends
+on moved: the fair pass after each fair update, the encoder and adversary
+passes after each encoder update (plus the fair pass before another encoder
+step or an ascend_gap adversary), the adversary pass between its own steps.
+
 h is a LeakyReLU with configurable slope, taken per sample on raw scores and
 averaged over the batch. The frozen sensitive embedding table supplies the
 adversary's extra input and is never mutated here.
@@ -26,7 +32,7 @@ adversary's extra input and is never mutated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,29 +202,10 @@ def train(data: ProcessedDataset, ae: SensitiveAutoencoder, cfg: TrainConfig) ->
         weight = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb, se_b = X[idx], y[idx], s_e_all[idx]
-            nb = idx.size
-
-            # logged pre-update values for this round
-            z = forward(model.encoder, xb)
-            s1 = forward(model.fair_predictor, z)[:, 0]
-            zs = np.hstack([z, se_b])
-            s2 = forward(model.sensitive_predictor, zs)[:, 0]
-            fair_v = loss(cfg.loss_kind, s1, yb)
-            adv_v = loss(cfg.loss_kind, s2, yb)
-            gap_v = float(np.mean(leaky_relu(s1 - s2, cfg.h_slope)))
-            _guard(fair_v, epoch, "fair_predictor")
-            _guard(adv_v, epoch, "adversary")
-            _guard(fair_v + cfg.lam * gap_v, epoch, "encoder")
-            sums += np.array([fair_v, adv_v, gap_v]) * nb
-            weight += nb
-
-            for _ in range(cfg.steps_per_player):
-                _fair_phase(model, fair_state, xb, yb, se_b, cfg, nb)
-            for _ in range(cfg.steps_per_player):
-                _encoder_phase(model, enc_state, xb, yb, se_b, cfg, nb)
-            for _ in range(cfg.steps_per_player):
-                _adversary_phase(model, aware_state, xb, yb, se_b, cfg, nb)
+            logged = _step(model, enc_state, fair_state, aware_state,
+                           X[idx], y[idx], s_e_all[idx], cfg, epoch)
+            sums += np.array(logged) * idx.size
+            weight += idx.size
         history.append(EpochStats(*(sums / weight)))
     return TrainedFairModel(model, history)
 
@@ -230,49 +217,61 @@ def _gap_grads(s1, s2, cfg, nb):
     return g, -g
 
 
-def _fair_phase(model, state, xb, yb, se_b, cfg, nb):
-    z = forward(model.encoder, xb)
-    s1 = forward(model.fair_predictor, z)[:, 0]
-    g1 = loss_grad(cfg.loss_kind, s1, yb)
-    if cfg.fair_mode == "total" and cfg.lam != 0.0:
-        s2 = forward(model.sensitive_predictor, np.hstack([z, se_b]))[:, 0]
-        g_gap1, _ = _gap_grads(s1, s2, cfg, nb)
-        g1 = g1 + g_gap1
-    grads = backward(model.fair_predictor, z, g1.reshape(-1, 1))
-    adam_step(model.fair_predictor, grads, state, "descend")
+def _step(model, enc_state, fair_state, aware_state, xb, yb, se_b, cfg, epoch):
+    """One minibatch: log the pre-update losses, then update the fair
+    predictor, the encoder and the adversary in turn.
 
+    Returns the logged (fair_loss, adversary_loss, gap_term).
+    """
+    nb = len(xb)
+    enc = forward(model.encoder, xb, record=True)
+    fair = forward(model.fair_predictor, enc.output, record=True)
+    zs = np.hstack([enc.output, se_b])
+    aware = forward(model.sensitive_predictor, zs, record=True)
 
-def _encoder_phase(model, state, xb, yb, se_b, cfg, nb):
-    z = forward(model.encoder, xb)
-    s1 = forward(model.fair_predictor, z)[:, 0]
-    g1 = loss_grad(cfg.loss_kind, s1, yb)
-    if cfg.lam != 0.0:
-        zs = np.hstack([z, se_b])
-        s2 = forward(model.sensitive_predictor, zs)[:, 0]
-        g_gap1, g_gap2 = _gap_grads(s1, s2, cfg, nb)
-        g1 = g1 + g_gap1
-        d_z = backward(model.fair_predictor, z, g1.reshape(-1, 1)).inputs
-        d_zs = backward(model.sensitive_predictor, zs, g_gap2.reshape(-1, 1)).inputs
-        d_z = d_z + d_zs[:, : model.z_dim]
-    else:
-        d_z = backward(model.fair_predictor, z, g1.reshape(-1, 1)).inputs
-    grads = backward(model.encoder, xb, d_z)
-    adam_step(model.encoder, grads, state, "descend")
+    s1, s2 = fair.output[:, 0], aware.output[:, 0]
+    fair_v = loss(cfg.loss_kind, s1, yb)
+    adv_v = loss(cfg.loss_kind, s2, yb)
+    gap_v = float(np.mean(leaky_relu(s1 - s2, cfg.h_slope)))
+    _guard(fair_v, epoch, "fair_predictor")
+    _guard(adv_v, epoch, "adversary")
+    _guard(fair_v + cfg.lam * gap_v, epoch, "encoder")
 
+    for _ in range(cfg.steps_per_player):
+        g1 = loss_grad(cfg.loss_kind, fair.output[:, 0], yb)
+        if cfg.fair_mode == "total" and cfg.lam != 0.0:
+            g1 = g1 + _gap_grads(fair.output[:, 0], aware.output[:, 0], cfg, nb)[0]
+        grads = backward(model.fair_predictor, fair, g1.reshape(-1, 1))
+        adam_step(model.fair_predictor, grads, fair_state, "descend")
+        fair = forward(model.fair_predictor, enc.output, record=True)
 
-def _adversary_phase(model, state, xb, yb, se_b, cfg, nb):
-    z = forward(model.encoder, xb)
-    zs = np.hstack([z, se_b])
-    s2 = forward(model.sensitive_predictor, zs)[:, 0]
-    if cfg.adversary_mode == "own_loss":
-        g2 = loss_grad(cfg.loss_kind, s2, yb)
-        grads = backward(model.sensitive_predictor, zs, g2.reshape(-1, 1))
-        adam_step(model.sensitive_predictor, grads, state, "descend")
-    else:
-        s1 = forward(model.fair_predictor, z)[:, 0]
-        _, g_gap2 = _gap_grads(s1, s2, cfg, nb)
-        grads = backward(model.sensitive_predictor, zs, g_gap2.reshape(-1, 1))
-        adam_step(model.sensitive_predictor, grads, state, "ascend")
+    for k in range(cfg.steps_per_player):
+        g1 = loss_grad(cfg.loss_kind, fair.output[:, 0], yb)
+        if cfg.lam != 0.0:
+            g_gap1, g_gap2 = _gap_grads(fair.output[:, 0], aware.output[:, 0], cfg, nb)
+            g1 = g1 + g_gap1
+        d_z = backward(model.fair_predictor, fair, g1.reshape(-1, 1)).inputs
+        if cfg.lam != 0.0:
+            d_zs = backward(model.sensitive_predictor, aware, g_gap2.reshape(-1, 1)).inputs
+            d_z = d_z + d_zs[:, : model.z_dim]
+        adam_step(model.encoder, backward(model.encoder, enc, d_z), enc_state, "descend")
+        enc = forward(model.encoder, xb, record=True)
+        zs = np.hstack([enc.output, se_b])
+        aware = forward(model.sensitive_predictor, zs, record=True)
+        if k + 1 < cfg.steps_per_player or cfg.adversary_mode == "ascend_gap":
+            fair = forward(model.fair_predictor, enc.output, record=True)
+
+    for k in range(cfg.steps_per_player):
+        if cfg.adversary_mode == "own_loss":
+            g2 = loss_grad(cfg.loss_kind, aware.output[:, 0], yb)
+        else:
+            g2 = _gap_grads(fair.output[:, 0], aware.output[:, 0], cfg, nb)[1]
+        grads = backward(model.sensitive_predictor, aware, g2.reshape(-1, 1))
+        direction = "descend" if cfg.adversary_mode == "own_loss" else "ascend"
+        adam_step(model.sensitive_predictor, grads, aware_state, direction)
+        if k + 1 < cfg.steps_per_player:
+            aware = forward(model.sensitive_predictor, zs, record=True)
+    return fair_v, adv_v, gap_v
 
 
 def _guard(value: float, epoch: int, phase: str):

@@ -41,11 +41,13 @@ def train_supervised(data, cfg: TrainConfig):
             z = forward(encoder, xb)
             s1 = forward(fair, z)[:, 0]
             g1 = loss_grad(cfg.loss_kind, s1, yb)
-            adam_step(fair, backward(fair, z, g1.reshape(-1, 1)), fair_state)
+            fair_pass = forward(fair, z, record=True)
+            adam_step(fair, backward(fair, fair_pass, g1.reshape(-1, 1)), fair_state)
             # encoder step with the updated predictor held fixed
             z = forward(encoder, xb)
             s1 = forward(fair, z)[:, 0]
             g1 = loss_grad(cfg.loss_kind, s1, yb)
-            d_z = backward(fair, z, g1.reshape(-1, 1)).inputs
-            adam_step(encoder, backward(encoder, xb, d_z), enc_state)
+            d_z = backward(fair, forward(fair, z, record=True), g1.reshape(-1, 1)).inputs
+            enc_pass = forward(encoder, xb, record=True)
+            adam_step(encoder, backward(encoder, enc_pass, d_z), enc_state)
     return encoder, fair

@@ -158,6 +158,23 @@ def test_fit_autoencoder_narrow_targets():
     assert ae.decoder.out_dim == 2
 
 
+def test_fit_autoencoder_minibatch_runs_two_passes(monkeypatch):
+    """Encoder and decoder run once each; backward replays neither."""
+    from minifair import neural
+
+    activations = []
+    real_activate = neural._activate
+
+    def counting_activate(z, kind):
+        activations.append(kind)
+        return real_activate(z, kind)
+
+    monkeypatch.setattr(neural, "_activate", counting_activate)
+    x = np.random.default_rng(0).normal(size=(16, 4))
+    fit_autoencoder(x, latent_dim=2, epochs=1, batch_size=16, seed=0)
+    assert len(activations) == 2 * 2  # two passes of two layers each
+
+
 def test_param_snapshot_helper_sees_frozen_autoencoder():
     onehot = two_category_onehot()
     ae = pretrain(onehot, e=1, epochs=20, seed=0)

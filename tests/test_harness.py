@@ -281,3 +281,27 @@ def test_evaluate_scores_skips_single_group_attributes(law_dataset):
     scores = np.linspace(-1, 1, test_ds.n_rows)
     out = evaluate_scores(scores, test_ds)
     assert np.isfinite(out["wasserstein"])
+
+
+class TestFailureAccounting:
+    def test_single_class_test_split_counts_as_failure(self, compas_csv):
+        from minifair.data import load_csv, split
+        from minifair.harness import run_one_repeat
+
+        cfg = fast_config(compas_csv, dataset="compas", methods=("full-lr",), repeats=1)
+        raw = load_csv(compas_csv, cfg.spec)
+        raw.target = raw.target.copy()
+        raw.target[split(raw.n_rows, cfg.base_seed).test_indices] = 1.0
+        (result,) = run_one_repeat((cfg, raw, 0))
+        assert result.failed
+        assert "single class" in result.error
+
+    def test_value_error_in_a_method_propagates(self, law_csv, monkeypatch):
+        from minifair import harness
+
+        def broken_predict(model, features):
+            raise ValueError("shape mismatch in predict")
+
+        monkeypatch.setattr(harness, "predict", broken_predict)
+        with pytest.raises(ValueError, match="shape mismatch in predict"):
+            run_experiment(fast_config(law_csv, methods=("full-lr",), repeats=1))

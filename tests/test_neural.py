@@ -46,7 +46,7 @@ def finite_diff_grads(net, batch, target, kind, step=1e-5):
 def backprop_grads_flat(net, batch, target, kind):
     out = forward(net, batch)
     g_out = loss_grad(kind, out[:, 0], target).reshape(-1, 1)
-    grads = backward(net, batch, g_out)
+    grads = backward(net, forward(net, batch, record=True), g_out)
     flat = []
     for d_w, d_b in grads.layers:
         flat.append(d_w)
@@ -151,7 +151,7 @@ class TestBackward:
     def test_zero_seed_gives_zero_grads(self):
         net = init_mlp([3, 4, 1], ["leaky_relu", "identity"], seed=0)
         batch = np.random.default_rng(1).normal(size=(6, 3))
-        grads = backward(net, batch, np.zeros((6, 1)))
+        grads = backward(net, forward(net, batch, record=True), np.zeros((6, 1)))
         for d_w, d_b in grads.layers:
             assert not d_w.any() and not d_b.any()
         assert not grads.inputs.any()
@@ -188,7 +188,7 @@ class TestBackward:
         batch = rng.normal(size=(4, 3))
         y = rng.normal(size=4)
         g_out = loss_grad("mse", forward(net, batch)[:, 0], y).reshape(-1, 1)
-        d_in = backward(net, batch, g_out).inputs
+        d_in = backward(net, forward(net, batch, record=True), g_out).inputs
         step = 1e-6
         for i in range(4):
             for j in range(3):
@@ -214,7 +214,7 @@ class TestAdam:
         net = init_mlp([2, 3, 1], ["leaky_relu", "identity"], seed=4)
         before = [a.copy() for a in param_arrays(net)]
         state = init_adam(net)
-        grads = backward(net, np.zeros((1, 2)), np.zeros((1, 1)))
+        grads = backward(net, forward(net, np.zeros((1, 2)), record=True), np.zeros((1, 1)))
         adam_step(net, grads, state)
         assert state.step_count == 1
         for b, a in zip(before, param_arrays(net)):
@@ -239,7 +239,7 @@ class TestAdam:
         batch = rng.normal(size=(5, 3))
         y = rng.normal(size=5)
         g_out = loss_grad("mse", forward(net, batch)[:, 0], y).reshape(-1, 1)
-        grads = backward(net, batch, g_out)
+        grads = backward(net, forward(net, batch, record=True), g_out)
         adam_step(net, grads, init_adam(net), "descend")
         adam_step(net, grads, init_adam(net), "ascend")
         for s, a in zip(start, param_arrays(net)):

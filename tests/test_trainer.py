@@ -3,12 +3,10 @@ import pytest
 
 from minifair.autoencoder import build_embedding_table, pretrain
 from minifair.neural import forward, param_arrays
+from minifair import trainer
 from minifair.trainer import (
     TrainConfig,
     TrainingDiverged,
-    _adversary_phase,
-    _encoder_phase,
-    _fair_phase,
     encode,
     fair_predict,
     init_three_player,
@@ -233,57 +231,100 @@ class TestTrain:
 
 
 class TestPlayerIsolation:
-    def _setup(self, law_parts, lam=1.0):
+    def _record_updates(self, law_parts, monkeypatch, adversary_mode="own_loss", steps=1):
+        """Run one epoch of train with adam_step wrapped; return, for each
+        update in order, the player it was given and the players it changed."""
         train_ds, _, ae = law_parts
-        cfg = TrainConfig(lam=lam, **FAST)
-        model = small_model(train_ds, ae, cfg)
-        table = model.embedding
-        se = table.lookup_rows(train_ds.S_onehot[:32])
-        return model, cfg, train_ds.X[:32], train_ds.y[:32], se
+        cfg = TrainConfig(**dict(FAST, epochs=1), adversary_mode=adversary_mode,
+                          steps_per_player=steps)
+        players = {}
+        updates = []
+        real_init = trainer.init_three_player
+        real_step = trainer.adam_step
 
-    def snapshot(self, model):
-        return {
-            name: [a.copy() for a in param_arrays(getattr(model, name))]
-            for name in ("encoder", "fair_predictor", "sensitive_predictor")
-        }
+        def capture_players(*args):
+            model = real_init(*args)
+            for name in ("fair_predictor", "encoder", "sensitive_predictor"):
+                players[name] = getattr(model, name)
+            return model
 
-    def assert_only_changed(self, model, before, changed):
-        from minifair.neural import init_adam  # local import keeps header tidy
+        def recording_step(net, grads, state, direction="descend"):
+            before = {name: [a.copy() for a in param_arrays(p)] for name, p in players.items()}
+            real_step(net, grads, state, direction)
+            given = next(name for name, p in players.items() if p is net)
+            changed = {
+                name for name, params in before.items()
+                if not all(np.array_equal(b, a) for b, a in zip(params, param_arrays(players[name])))
+            }
+            updates.append((given, changed))
 
-        for name, params in before.items():
-            now = param_arrays(getattr(model, name))
-            same = all(np.array_equal(b, a) for b, a in zip(params, now))
-            if name == changed:
-                assert not same, f"{name} should have been updated"
-            else:
-                assert same, f"{name} must not change in this phase"
+        monkeypatch.setattr(trainer, "init_three_player", capture_players)
+        monkeypatch.setattr(trainer, "adam_step", recording_step)
+        train(train_ds, ae, cfg)
+        return cfg, updates
 
-    def test_fair_phase_touches_only_fair_predictor(self, law_parts):
-        from minifair.neural import init_adam
-        from minifair.trainer import _fair_phase
+    def _assert_touches_only(self, updates, player):
+        mine = [changed for given, changed in updates if given == player]
+        assert mine, f"train never updated {player}"
+        for changed in mine:
+            assert changed == {player}, f"{player} update changed {sorted(changed)}"
 
-        model, cfg, xb, yb, se = self._setup(law_parts)
-        before = self.snapshot(model)
-        _fair_phase(model, init_adam(model.fair_predictor, lr=cfg.lr), xb, yb, se, cfg, len(xb))
-        self.assert_only_changed(model, before, "fair_predictor")
+    def test_fair_phase_touches_only_fair_predictor(self, law_parts, monkeypatch):
+        _, updates = self._record_updates(law_parts, monkeypatch)
+        self._assert_touches_only(updates, "fair_predictor")
 
-    def test_encoder_phase_touches_only_encoder(self, law_parts):
-        from minifair.neural import init_adam
+    def test_encoder_phase_touches_only_encoder(self, law_parts, monkeypatch):
+        _, updates = self._record_updates(law_parts, monkeypatch)
+        self._assert_touches_only(updates, "encoder")
 
-        model, cfg, xb, yb, se = self._setup(law_parts)
-        before = self.snapshot(model)
-        _encoder_phase(model, init_adam(model.encoder, lr=cfg.lr), xb, yb, se, cfg, len(xb))
-        self.assert_only_changed(model, before, "encoder")
+    def test_adversary_phase_touches_only_adversary(self, law_parts, monkeypatch):
+        _, updates = self._record_updates(law_parts, monkeypatch)
+        self._assert_touches_only(updates, "sensitive_predictor")
 
-    def test_adversary_phase_touches_only_adversary(self, law_parts):
-        from minifair.neural import init_adam
+    @pytest.mark.parametrize("adversary_mode, steps", [("own_loss", 1), ("ascend_gap", 2)])
+    def test_each_update_moves_only_its_player(self, law_parts, monkeypatch, adversary_mode, steps):
+        """Every adam_step of train changes only the network it is given, in
+        fair -> encoder -> adversary order, steps_per_player times each."""
+        cfg, updates = self._record_updates(law_parts, monkeypatch, adversary_mode, steps)
+        train_ds = law_parts[0]
+        for given, changed in updates:
+            assert changed == {given}, f"{given} update changed {sorted(changed)}"
+        batches = -(-train_ds.n_rows // cfg.batch_size)
+        one_batch = ("fair_predictor", "encoder", "sensitive_predictor")
+        order = [given for given, _ in updates]
+        assert order == [name for name in one_batch for _ in range(steps)] * batches
 
-        model, cfg, xb, yb, se = self._setup(law_parts)
-        before = self.snapshot(model)
-        _adversary_phase(
-            model, init_adam(model.sensitive_predictor, lr=cfg.lr), xb, yb, se, cfg, len(xb)
-        )
-        self.assert_only_changed(model, before, "sensitive_predictor")
+
+class TestPassCounts:
+    def test_default_minibatch_runs_six_passes(self, law_parts, monkeypatch):
+        """Each pass is recorded once and again only after a player it
+        depends on moved: 3 + fair + encoder and adversary = 6 passes.
+        Counting layer activations also catches a pass replayed in backward."""
+        from minifair import neural
+
+        train_ds, _, ae = law_parts
+        cfg = TrainConfig(**dict(FAST, epochs=1, batch_size=train_ds.n_rows))
+        table = build_embedding_table(ae, train_ds.S_onehot, train_ds.sensitive_group_sizes)
+        nets = []
+        activations = []
+        real_forward = trainer.forward
+        real_activate = neural._activate
+
+        def counting_forward(net, *args, **kwargs):
+            nets.append(net)
+            return real_forward(net, *args, **kwargs)
+
+        def counting_activate(z, kind):
+            activations.append(kind)
+            return real_activate(z, kind)
+
+        monkeypatch.setattr(trainer, "build_embedding_table", lambda *args: table)
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        monkeypatch.setattr(neural, "_activate", counting_activate)
+        model = train(train_ds, ae, cfg).model
+        assert len(nets) == 6
+        assert sum(net is model.encoder for net in nets) == 2
+        assert len(activations) == 6 * 2  # every player network has two layers
 
 
 class TestEncoderGradientFlow:
@@ -300,13 +341,16 @@ class TestEncoderGradientFlow:
             s2 = forward(model.sensitive_predictor, zs)[:, 0]
             gg1, gg2 = _gap_grads(s1, s2, cfg, len(xb))
             g1 = g1 + gg1
-            d_z = backward(model.fair_predictor, z, g1.reshape(-1, 1)).inputs
-            d_z = d_z + backward(model.sensitive_predictor, zs, gg2.reshape(-1, 1)).inputs[
+            fair_pass = forward(model.fair_predictor, z, record=True)
+            aware_pass = forward(model.sensitive_predictor, zs, record=True)
+            d_z = backward(model.fair_predictor, fair_pass, g1.reshape(-1, 1)).inputs
+            d_z = d_z + backward(model.sensitive_predictor, aware_pass, gg2.reshape(-1, 1)).inputs[
                 :, : model.z_dim
             ]
         else:
-            d_z = backward(model.fair_predictor, z, g1.reshape(-1, 1)).inputs
-        return backward(model.encoder, xb, d_z)
+            fair_pass = forward(model.fair_predictor, z, record=True)
+            d_z = backward(model.fair_predictor, fair_pass, g1.reshape(-1, 1)).inputs
+        return backward(model.encoder, forward(model.encoder, xb, record=True), d_z)
 
     def test_lambda_changes_encoder_gradient(self, law_parts):
         train_ds, _, ae = law_parts
