@@ -18,8 +18,6 @@ from .data import ProcessedDataset
 from .neural import forward, sigmoid
 from .trainer import ThreePlayerModel, encode
 
-REPRESENTATIONS = ("full", "unaware", "ae", "invenc")
-
 RIDGE = 1e-8
 LOGISTIC_ITERATIONS = 500
 LOGISTIC_LR = 0.1
@@ -92,7 +90,8 @@ def fit_stumps(features, y, task, rounds=100, learning_rate=0.1) -> StumpEnsembl
     Regression boosts squared loss from a mean base score; classification
     boosts logistic loss from the log-odds base score with residuals
     y - sigmoid(score). Each stump's threshold comes from an exhaustive scan
-    over feature midpoints.
+    over feature midpoints. The columns are sorted once per fit; each round
+    then scores every split boundary at once.
     """
     f = np.asarray(features, dtype=float)
     t = np.asarray(y, dtype=float).ravel()
@@ -107,46 +106,76 @@ def fit_stumps(features, y, task, rounds=100, learning_rate=0.1) -> StumpEnsembl
         base = float(np.log(p / (1.0 - p)))
     else:
         raise ValueError(f"unknown task {task!r}")
+    splits = _presort(f)
     score = np.full(t.size, base)
     stumps = []
     for _ in range(rounds):
         residual = t - score if task == "regression" else t - sigmoid(score)
-        stump = _best_stump(f, residual)
+        stump = _best_stump(splits, residual)
         stumps.append(stump)
         score = score + learning_rate * _stump_values(f, stump)
     return StumpEnsemble(rounds, learning_rate, stumps, base)
 
 
-def _best_stump(f, residual):
+@dataclass(frozen=True)
+class _Splits:
+    """Every split boundary of a feature matrix, in (column, boundary) order.
+
+    A boundary lies between two consecutive distinct values of a column's
+    stable sort; rows up to it go left.
+    """
+
+    order: np.ndarray      # (d, n) stable argsort of each column
+    last_left: np.ndarray  # flat index into (d, n) of the last row going left
+    feature: np.ndarray    # column of each boundary
+    threshold: np.ndarray  # midpoint of the two values either side
+    n_left: np.ndarray     # row counts either side, as floats
+    n_right: np.ndarray
+
+
+def _presort(f) -> _Splits:
+    n = f.shape[0]
+    order = np.argsort(f, axis=0, kind="stable").T
+    cols = np.take_along_axis(f.T, order, axis=1)
+    feature, k = np.nonzero(cols[:, :-1] != cols[:, 1:])
+    threshold = (cols[feature, k] + cols[feature, k + 1]) / 2.0
+    n_left = (k + 1).astype(float)
+    return _Splits(order, feature * n + k, feature, threshold, n_left, n - n_left)
+
+
+def _best_stump(splits, residual):
     """Exhaustive least-squares split of the residuals; deterministic ties.
 
     Returns (feature, threshold, left value, right value) with rows going
-    left when value <= threshold. Falls back to a single-leaf stump when no
-    feature admits a split.
+    left when value <= threshold. The earliest split in (column, boundary)
+    order wins unless a later gain beats it by more than 1e-15. Falls back
+    to a single-leaf stump when no feature admits a split.
     """
-    n = residual.size
-    total = residual.sum()
+    n_left, n_right = splits.n_left, splits.n_right
+    left = np.cumsum(residual[splits.order], axis=1).ravel()[splits.last_left]
+    right = residual.sum() - left
+    # Only a split whose gain beats every earlier one can win, so the tie
+    # rule is replayed on those alone. They are found with squares, keeping
+    # every split within a relative 1e-12 of the best earlier gain: far more
+    # than the last-bit difference between an array's correctly rounded
+    # square and C pow, which a float64 scalar's `x**2` calls. The kept
+    # gains are recomputed with pow, so ties break as in a scalar scan.
+    rough = left * left / n_left + right * right / n_right
+    near_best = np.ones(rough.size, dtype=bool)
+    near_best[1:] = ~(rough[1:] <= (1.0 - 1e-12) * np.fmax.accumulate(rough)[:-1])
+    near = np.flatnonzero(near_best)
+    gain = (np.float_power(left[near], 2) / n_left[near]
+            + np.float_power(right[near], 2) / n_right[near])
     best = None
     best_gain = -np.inf
-    for j in range(f.shape[1]):
-        order = np.argsort(f[:, j], kind="stable")
-        col = f[order, j]
-        prefix = np.cumsum(residual[order])
-        boundaries = np.nonzero(col[:-1] != col[1:])[0]  # split after index k
-        for k in boundaries:
-            n_left = k + 1
-            n_right = n - n_left
-            left_sum = prefix[k]
-            right_sum = total - left_sum
-            gain = left_sum**2 / n_left + right_sum**2 / n_right
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                thr = (col[k] + col[k + 1]) / 2.0
-                best = (j, float(thr), float(left_sum / n_left), float(right_sum / n_right))
+    for i, g in zip(near.tolist(), gain.tolist()):
+        if g > best_gain + 1e-15:
+            best, best_gain = i, g
     if best is None:
         mean = float(residual.mean())
         return (0, float("inf"), mean, mean)
-    return best
+    return (int(splits.feature[best]), float(splits.threshold[best]),
+            float(left[best] / n_left[best]), float(right[best] / n_right[best]))
 
 
 def _stump_values(f, stump):

@@ -195,11 +195,10 @@ def evaluate_scores(scores, test_ds, cv_sqrt=False) -> dict:
         rmse, mae, r2 = regression_metrics(scores, y)
         w_vals = []
         m_vals = []
-        for attr_i in range(test_ds.S_labels.shape[1]):
-            try:
-                w, m = group_fairness(scores, test_ds.S_labels[:, attr_i])
-            except ValueError:
+        for col in test_ds.S_labels.T:
+            if np.all(col == col[0]):
                 continue  # attribute has a single group in this split
+            w, m = group_fairness(scores, col)
             w_vals.append(w)
             m_vals.append(m)
         if not w_vals:

@@ -145,9 +145,9 @@ class TestFitStumps:
             n = int(rng.integers(5, 31))
             f = rng.normal(size=(n, 2))
             r = rng.normal(size=n)
-            from minifair.baselines import _best_stump, _stump_values
+            from minifair.baselines import _best_stump, _presort, _stump_values
 
-            stump = _best_stump(f, r)
+            stump = _best_stump(_presort(f), r)
             best_sse = float(np.sum((r - _stump_values(f, stump)) ** 2))
             # brute force over every feature and every midpoint
             for j in range(2):

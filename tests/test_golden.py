@@ -4,7 +4,8 @@ Each case runs `minifair run` or `minifair sweep` on a tiny seeded synthetic
 table and compares the report file with the committed one in tests/golden/.
 The cases cover trainer branches that the default configuration never takes
 (fair_mode total, ascend_gap, several steps per player, a zero gap weight,
-the all_features embedder, BCE), so a refactor that changes any float
+the all_features embedder, BCE) and the boosted-stump heads on raw features
+and latent codes for both tasks, so a refactor that changes any float
 operation order on those paths shows up here.
 
 Regenerate the files only when a report change is intended:
@@ -49,6 +50,11 @@ CASES = {
     "compas-ascend-gap": (
         "run", "compas", "csv", "methods = invfair\ntrain.adversary_mode = ascend_gap\n", []),
     "law-sweep": ("sweep", "law", "csv", "", ["--lambda", "0,0.5,4"]),
+    "law-run-gboost": (
+        "run", "law", "csv", "methods = full-gboost, unaware-gboost, invenc-gboost\n", []),
+    "compas-run-gboost": (
+        "run", "compas", "csv",
+        "methods = full-gboost, unaware-gboost, invenc-gboost\nboost.learning_rate = 1\n", []),
 }
 
 

@@ -283,6 +283,19 @@ def test_evaluate_scores_skips_single_group_attributes(law_dataset):
     assert np.isfinite(out["wasserstein"])
 
 
+def test_evaluate_scores_lets_group_fairness_errors_through(law_dataset, monkeypatch):
+    from minifair import harness
+
+    def broken_group_fairness(predictions, group_labels):
+        raise ValueError("length mismatch in group_fairness")
+
+    ds, sp = law_dataset
+    test_ds = ds.take(sp.test_indices)
+    monkeypatch.setattr(harness, "group_fairness", broken_group_fairness)
+    with pytest.raises(ValueError, match="length mismatch in group_fairness"):
+        evaluate_scores(np.zeros(test_ds.n_rows), test_ds)
+
+
 class TestFailureAccounting:
     def test_single_class_test_split_counts_as_failure(self, compas_csv):
         from minifair.data import load_csv, split
