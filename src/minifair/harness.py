@@ -6,7 +6,9 @@ share, so per-seed metric differences are valid paired samples. Diverged
 training runs are recorded as failures and excluded from the statistics.
 Repeats are independent, so a worker pool can execute them in parallel; the
 aggregation order is fixed by repeat index either way and reports are
-byte-stable for identical configurations.
+byte-stable for identical configurations. A lambda sweep is one pass over the
+repeats: each repeat builds its split, preprocessing and sensitive embedder
+once and trains the minimax model once per lambda.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -151,6 +153,7 @@ class RunResult:
     seconds: float
     failed: bool
     error: str = ""
+    lam: float | None = None  # gap weight of the model it used; None if it uses none
 
 
 @dataclass(frozen=True)
@@ -213,21 +216,23 @@ def evaluate_scores(scores, test_ds, cv_sqrt=False) -> dict:
     # not np.unique: on floats it imports numpy.ma, ~1.4 MB of peak RSS
     if np.all(y == y[0]):
         raise MethodFailed("the test split has a single class")
-    hard = (scores >= 0.0).astype(float)
+    return _classification_report((scores >= 0.0).astype(float), y, cv_sqrt)
+
+
+def _classification_report(hard, y, cv_sqrt) -> dict:
+    """Accuracy metrics and entropy indices of hard 0/1 predictions."""
     precision, recall, f1, bacc = classification_metrics(hard, y)
     b, _ = benefits(hard, y)
-    cv = generalized_entropy_from_benefits(b, 2.0)
-    ti = generalized_entropy_from_benefits(b, 1.0)
     out = {
         "precision": precision,
         "recall": recall,
         "f1": f1,
         "balanced_acc": bacc,
-        "cv": cv,
-        "ti": ti,
+        "cv": generalized_entropy_from_benefits(b, 2.0),
+        "ti": generalized_entropy_from_benefits(b, 1.0),
     }
     if cv_sqrt:
-        out["cv_sqrt"] = math.sqrt(2.0 * cv)
+        out["cv_sqrt"] = math.sqrt(2.0 * out["cv"])
     return out
 
 
@@ -257,39 +262,24 @@ def _score_method(method, cfg, train_ds, test_ds, trained, baseline_ae, train_er
 
 
 def run_one_repeat(args):
-    """All methods on one shared split. Top level so worker pools can pickle it."""
-    cfg, raw, repeat_index = args
+    """All methods on one shared split, for every gap weight λ of the task.
+
+    `args` is (cfg, raw, repeat_index), which trains at cfg.train.lam, or
+    (cfg, raw, repeat_index, lambdas). The split, the preprocessing, the
+    sensitive embedder and the baseline autoencoder do not depend on λ and are
+    built once; the minimax model is trained, and the methods that use it are
+    scored, once per λ. Top level so worker pools can pickle it.
+    """
+    cfg, raw, repeat_index, *sweep = args
+    lambdas = sweep[0] if sweep else (cfg.train.lam,)
     seed = cfg.base_seed + repeat_index
     sp = split(raw.n_rows, seed)
     full = preprocess(raw, cfg.spec, sp.train_indices)
     train_ds = full.take(sp.train_indices)
     test_ds = full.take(sp.test_indices)
 
-    needs_trained = any(m == "invfair" or m.startswith("invenc") for m in cfg.methods)
-    needs_baseline_ae = any(m.startswith("ae-") for m in cfg.methods)
-
-    trained = None
-    train_error = None
-    if needs_trained:
-        try:
-            # the embedding must compress, so cap e below the one-hot width
-            e_dim = min(cfg.ae_e, train_ds.S_onehot.shape[1] - 1)
-            sens_ae = pretrain(
-                train_ds.S_onehot,
-                e=e_dim,
-                epochs=cfg.ae_epochs,
-                seed=seed,
-                X=train_ds.X if cfg.ae_input == "all_features" else None,
-                input_mode=cfg.ae_input,
-            )
-            fitted = train(train_ds, sens_ae, replace(cfg.train, seed=seed))
-            trained = fitted.model
-            if cfg.history_dir:
-                _dump_history(cfg.history_dir, seed, fitted.train_history)
-        except TrainingDiverged as exc:
-            train_error = str(exc)
     baseline_ae = None
-    if needs_baseline_ae:
+    if any(m.startswith("ae-") for m in cfg.methods):
         baseline_ae = fit_autoencoder(
             np.hstack([train_ds.X, train_ds.S_onehot]),
             cfg.baseline_ae_latent,
@@ -297,27 +287,53 @@ def run_one_repeat(args):
             seed=seed,
         )
 
-    results = []
-    for method in cfg.methods:
+    def run_method(method, lam, trained=None, train_error=None):
         started = time.perf_counter()
         try:
             scores = _score_method(
                 method, cfg, train_ds, test_ds, trained, baseline_ae, train_error
             )
             metrics = evaluate_scores(scores, test_ds, cfg.cv_sqrt)
-            results.append(
-                RunResult(method, seed, metrics, time.perf_counter() - started, False)
-            )
         except MethodFailed as exc:
-            results.append(
-                RunResult(method, seed, None, time.perf_counter() - started, True, str(exc))
+            return RunResult(
+                method, seed, None, time.perf_counter() - started, True, str(exc), lam
             )
+        return RunResult(method, seed, metrics, time.perf_counter() - started, False, "", lam)
+
+    # methods that score with the minimax model depend on λ
+    trained_methods = [m for m in cfg.methods if m == "invfair" or m.startswith("invenc")]
+    results = [run_method(m, None) for m in cfg.methods if m not in trained_methods]
+    if not trained_methods:
+        return results
+    # the embedding must compress, so cap e below the one-hot width
+    e_dim = min(cfg.ae_e, train_ds.S_onehot.shape[1] - 1)
+    sens_ae = pretrain(
+        train_ds.S_onehot,
+        e=e_dim,
+        epochs=cfg.ae_epochs,
+        seed=seed,
+        X=train_ds.X if cfg.ae_input == "all_features" else None,
+        input_mode=cfg.ae_input,
+    )
+    for lam in lambdas:
+        trained = train_error = None
+        try:
+            fitted = train(train_ds, sens_ae, replace(cfg.train, lam=lam, seed=seed))
+        except TrainingDiverged as exc:
+            train_error = str(exc)
+        else:
+            trained = fitted.model
+            if cfg.history_dir:
+                lam_tag = f"_lambda{float(lam)!r}" if sweep else ""
+                name = f"history_invfair{lam_tag}_seed{seed}.csv"
+                _dump_history(cfg.history_dir, name, fitted.train_history)
+        results += [run_method(m, lam, trained, train_error) for m in trained_methods]
     return results
 
 
-def _dump_history(history_dir, seed, history):
+def _dump_history(history_dir, name, history):
     os.makedirs(history_dir, exist_ok=True)
-    path = os.path.join(history_dir, f"history_invfair_seed{seed}.csv")
+    path = os.path.join(history_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "fair_loss", "adversary_loss", "gap_term"])
@@ -327,15 +343,30 @@ def _dump_history(history_dir, seed, history):
             )
 
 
-def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
+def run_experiment(cfg: ExperimentConfig, lambdas=None):
+    """Every repeat of `cfg`, one task per repeat, serially or in a worker pool.
+
+    Without `lambdas` the model trains at cfg.train.lam and the result is one
+    AggregateReport. With a list of gap weights, each repeat trains once per λ
+    on its shared split and embedder, and the result is {λ: AggregateReport};
+    methods that do not use the trained model are scored once per repeat and
+    enter every λ's report.
+    """
     raw = load_csv(cfg.data_path, cfg.spec)
-    payloads = [(cfg, raw, r) for r in range(cfg.repeats)]
+    sweep = () if lambdas is None else (tuple(lambdas),)
+    payloads = [(cfg, raw, r) + sweep for r in range(cfg.repeats)]
     if cfg.workers > 1:
         with multiprocessing.Pool(cfg.workers) as pool:
             per_repeat = pool.map(run_one_repeat, payloads)
     else:
         per_repeat = [run_one_repeat(p) for p in payloads]
-    return aggregate([result for batch in per_repeat for result in batch], cfg)
+    results = [result for batch in per_repeat for result in batch]
+    if lambdas is None:
+        return aggregate(results, cfg)
+    return {
+        lam: aggregate([r for r in results if r.lam is None or r.lam == lam], cfg)
+        for lam in lambdas
+    }
 
 
 def aggregate(results, cfg: ExperimentConfig) -> AggregateReport:
@@ -402,15 +433,17 @@ def aggregate(results, cfg: ExperimentConfig) -> AggregateReport:
 
 
 def lambda_sweep(cfg: ExperimentConfig, lambdas) -> dict:
-    """Per-lambda AggregateReport for invfair only, splits shared across lambdas."""
-    lambdas = list(lambdas)
+    """Per-λ AggregateReport for invfair only, from one pass over the repeats.
+
+    Each repeat's split, preprocessing and sensitive embedder are shared by
+    every λ; a λ whose training diverges fails only its own entry.
+    """
+    lambdas = list(dict.fromkeys(lambdas))
     if not lambdas:
         raise ValueError("lambda list must be non-empty")
-    reports = {}
-    for lam in lambdas:
-        sub = replace(cfg, methods=("invfair",), train=replace(cfg.train, lam=lam))
-        reports[lam] = run_experiment(sub)
-    return reports
+    if not all(lam >= 0.0 for lam in lambdas):  # also rejects NaN
+        raise ValueError("lambda must be >= 0")
+    return run_experiment(replace(cfg, methods=("invfair",)), lambdas)
 
 
 def emit_report(report: AggregateReport, fmt: str, path) -> None:
@@ -419,28 +452,16 @@ def emit_report(report: AggregateReport, fmt: str, path) -> None:
     if not report.methods:
         raise ValueError("report has no successful methods to emit")
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "metric", "mean", "variance", "n"])
-            for method, stats in report.methods.items():
-                for name in report.metric_names:
-                    s = stats[name]
-                    writer.writerow([method, name, repr(s.mean), repr(s.variance), s.n])
+        _write_csv(path, "method", (
+            (method, stats, report.metric_names) for method, stats in report.methods.items()
+        ))
     elif fmt == "json":
-        payload = {
+        _write_json(path, {
             "task": report.task,
             "repeats": report.repeats,
             "reference": report.reference,
             "methods": {
-                method: {
-                    name: {
-                        "mean": stats[name].mean,
-                        "variance": stats[name].variance,
-                        "std": stats[name].std,
-                        "n": stats[name].n,
-                    }
-                    for name in report.metric_names
-                }
+                method: _stats_json(stats, report.metric_names)
                 for method, stats in report.methods.items()
             },
             "t_tests": {
@@ -455,10 +476,7 @@ def emit_report(report: AggregateReport, fmt: str, path) -> None:
                 for method, tests in report.t_tests.items()
             },
             "failures": report.failures,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -467,38 +485,45 @@ def emit_sweep_report(per_lambda: dict, fmt: str, path) -> None:
     """Long-format sweep table: one row per (lambda, metric)."""
     if not per_lambda:
         raise ValueError("sweep produced no reports")
+    # λ key -> (invfair stats or None when every repeat failed, metric names)
+    invfair = {
+        repr(float(lam)): (report.methods.get("invfair"), report.metric_names)
+        for lam, report in per_lambda.items()
+    }
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lambda", "metric", "mean", "variance", "n"])
-            for lam, report in per_lambda.items():
-                stats = report.methods.get("invfair")
-                if stats is None:
-                    continue
-                for name in report.metric_names:
-                    s = stats[name]
-                    writer.writerow([repr(float(lam)), name, repr(s.mean), repr(s.variance), s.n])
+        _write_csv(path, "lambda", (
+            (lam, stats, names) for lam, (stats, names) in invfair.items() if stats is not None
+        ))
     elif fmt == "json":
-        payload = {"lambdas": {}}
-        for lam, report in per_lambda.items():
-            stats = report.methods.get("invfair")
-            if stats is None:
-                payload["lambdas"][repr(float(lam))] = {"failed": True}
-                continue
-            payload["lambdas"][repr(float(lam))] = {
-                name: {
-                    "mean": stats[name].mean,
-                    "variance": stats[name].variance,
-                    "std": stats[name].std,
-                    "n": stats[name].n,
-                }
-                for name in report.metric_names
-            }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, {"lambdas": {
+            lam: {"failed": True} if stats is None else _stats_json(stats, names)
+            for lam, (stats, names) in invfair.items()
+        }})
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _stats_json(stats, names) -> dict:
+    """{metric: {mean, variance, std, n}} of one method's MetricStats."""
+    return {name: asdict(stats[name]) for name in names}
+
+
+def _write_csv(path, key_column, blocks) -> None:
+    """Header plus one `key,metric,mean,variance,n` row per metric of each
+    (key, stats, metric names) block."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([key_column, "metric", "mean", "variance", "n"])
+        for key, stats, names in blocks:
+            for name in names:
+                s = stats[name]
+                writer.writerow([key, name, repr(s.mean), repr(s.variance), s.n])
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def score_prediction_file(path, cv_sqrt=False):
@@ -527,19 +552,7 @@ def score_prediction_file(path, cv_sqrt=False):
     if pred.size == 0:
         raise ValueError("predictions CSV has no rows")
     if np.all((y == 0.0) | (y == 1.0)):
-        hard = (pred >= 0.5).astype(float)
-        precision, recall, f1, bacc = classification_metrics(hard, y)
-        b, _ = benefits(hard, y)
-        out = {
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "balanced_acc": bacc,
-            "cv": generalized_entropy_from_benefits(b, 2.0),
-            "ti": generalized_entropy_from_benefits(b, 1.0),
-        }
-        if cv_sqrt:
-            out["cv_sqrt"] = math.sqrt(2.0 * out["cv"])
+        out = _classification_report((pred >= 0.5).astype(float), y, cv_sqrt)
         task = "classification"
     else:
         rmse, mae, r2 = regression_metrics(pred, y)

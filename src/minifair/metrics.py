@@ -171,12 +171,6 @@ def generalized_entropy_from_benefits(b, alpha: float) -> float:
     return float((np.mean(r ** alpha) - 1.0) / (alpha * (alpha - 1.0)))
 
 
-def generalized_entropy(pred, y, alpha: float) -> float:
-    """Generalized entropy index over benefits b_i = pred_i - y_i + 1."""
-    b, _ = benefits(pred, y)
-    return generalized_entropy_from_benefits(b, alpha)
-
-
 def group_fairness(predictions, group_labels):
     """(wasserstein, gaussian_mmd) averaged over all unordered group pairs.
 

@@ -50,6 +50,9 @@ CASES = {
     "compas-ascend-gap": (
         "run", "compas", "csv", "methods = invfair\ntrain.adversary_mode = ascend_gap\n", []),
     "law-sweep": ("sweep", "law", "csv", "", ["--lambda", "0,0.5,4"]),
+    # λ = 1e9 trips the divergence bound, so one λ entry reads {"failed": true}
+    "compas-sweep-json": (
+        "sweep", "compas", "json", "ae.input = all_features\n", ["--lambda", "0.1,10,1e9"]),
     "law-run-gboost": (
         "run", "law", "csv", "methods = full-gboost, unaware-gboost, invenc-gboost\n", []),
     "compas-run-gboost": (

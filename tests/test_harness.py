@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,62 @@ class TestLambdaSweep:
     def test_empty_lambdas_rejected(self, law_csv):
         with pytest.raises(ValueError):
             lambda_sweep(fast_config(law_csv), [])
+
+    def test_invalid_lambda_rejected_before_any_repeat(self, law_csv, monkeypatch):
+        from minifair import harness
+
+        monkeypatch.setattr(harness, "load_csv", None)  # a repeat would crash on it
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="lambda must be >= 0"):
+                lambda_sweep(fast_config(law_csv), [1.0, bad])
+
+    def test_diverged_lambda_fails_only_its_own_entry(self, law_csv):
+        cfg = fast_config(law_csv, methods=("invfair",), repeats=2)
+        reports = lambda_sweep(cfg, [0.5, 1e9])
+        assert reports[0.5].failures == {"invfair": 0}
+        assert reports[0.5].methods["invfair"]["rmse"].n == 2
+        assert reports[1e9].failures == {"invfair": 2}
+        assert reports[1e9].methods == {}
+
+    def test_lambda_list_run_matches_plain_runs(self, law_csv):
+        # unaware-lr does not use the trained model: scored once per repeat,
+        # it enters both reports
+        cfg = fast_config(law_csv, methods=("unaware-lr", "invfair"), repeats=2)
+        reports = run_experiment(cfg, [cfg.train.lam, 2.0])
+        assert reports[cfg.train.lam] == run_experiment(cfg)
+        assert reports[2.0] == run_experiment(replace(cfg, train=replace(cfg.train, lam=2.0)))
+        assert reports[2.0].methods["unaware-lr"] == reports[cfg.train.lam].methods["unaware-lr"]
+
+
+class TestSweepSharesWork:
+    """The benchmark tracer and launcher hook these harness globals."""
+
+    HOOKS = ("load_csv", "split", "pretrain", "run_experiment", "run_one_repeat")
+
+    def test_one_pass_per_repeat(self, law_csv, monkeypatch):
+        from minifair import harness
+
+        calls = dict.fromkeys(self.HOOKS, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.HOOKS:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        reports = lambda_sweep(fast_config(law_csv, repeats=2), [0.5, 1.0, 2.0])
+        assert sorted(reports) == [0.5, 1.0, 2.0]
+        assert calls == {
+            "load_csv": 1, "split": 2, "pretrain": 2, "run_experiment": 1, "run_one_repeat": 2,
+        }
+
+    def test_worker_pool_sweep_matches_serial(self, law_csv):
+        lambdas = [0.5, 2.0]
+        serial = lambda_sweep(fast_config(law_csv, repeats=2, workers=1), lambdas)
+        parallel = lambda_sweep(fast_config(law_csv, repeats=2, workers=2), lambdas)
+        assert serial == parallel
 
 
 class TestExperimentConfigFromDict:

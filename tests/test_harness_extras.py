@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,19 @@ def test_history_dump(law_csv, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,fair_loss,adversary_loss,gap_term"
     assert len(lines) == 1 + cfg.train.epochs
+
+
+def test_sweep_history_per_lambda_and_seed(law_csv, tmp_path):
+    hist_dir = tmp_path / "hist"
+    cfg = replace(tiny_config(law_csv, history_dir=str(hist_dir)), repeats=2)
+    lambda_sweep(cfg, [0.5, 2.0])
+    names = sorted(p.name for p in hist_dir.iterdir())
+    assert names == [
+        f"history_invfair_lambda{lam}_seed{seed}.csv"
+        for lam in ("0.5", "2.0") for seed in (0, 1)
+    ]
+    contents = {(hist_dir / name).read_text() for name in names}
+    assert len(contents) == 4  # each (λ, seed) kept its own training run
 
 
 def test_all_features_ae_input_mode(law_csv):

@@ -11,7 +11,6 @@ from minifair.metrics import (
     classification_metrics,
     confusion_counts,
     gaussian_mmd,
-    generalized_entropy,
     generalized_entropy_from_benefits,
     group_fairness,
     regression_metrics,
@@ -230,16 +229,17 @@ class TestGaussianMMD:
 class TestGeneralizedEntropy:
     def test_all_correct_is_zero(self):
         for alpha in [0.5, 1.0, 2.0, 3.0]:
-            assert generalized_entropy([1, 0, 1], [1, 0, 1], alpha) == pytest.approx(0.0)
+            b = benefits([1, 0, 1], [1, 0, 1])[0]
+            assert generalized_entropy_from_benefits(b, alpha) == pytest.approx(0.0)
 
     def test_theil_hand_case(self):
         # one false positive (b=2), one false negative (b=0)
-        assert generalized_entropy([1.0, 0.0], [0.0, 1.0], 1.0) == pytest.approx(
-            math.log(2)
-        )
+        b = benefits([1.0, 0.0], [0.0, 1.0])[0]
+        assert generalized_entropy_from_benefits(b, 1.0) == pytest.approx(math.log(2))
 
     def test_ge2_hand_case(self):
-        assert generalized_entropy([1.0, 0.0], [0.0, 1.0], 2.0) == pytest.approx(0.5)
+        b = benefits([1.0, 0.0], [0.0, 1.0])[0]
+        assert generalized_entropy_from_benefits(b, 2.0) == pytest.approx(0.5)
 
     def test_matches_printed_formula(self):
         rng = np.random.default_rng(11)
