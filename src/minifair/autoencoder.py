@@ -3,8 +3,10 @@ feature autoencoder used by the AE baseline.
 
 The sensitive embedder is pre-trained once with MSE reconstruction and never
 updated during minimax training; its output is materialized into an
-EmbeddingTable keyed by the sensitive-category combination so every lookup is
-a pure dictionary read.
+EmbeddingTable with one row per sensitive-category combination. A
+combination is keyed by its one-hot row as a tuple, which needs no
+attribute block layout, so a lookup is one dictionary read per row plus one
+fancy index.
 """
 from __future__ import annotations
 
@@ -28,51 +30,54 @@ class Autoencoder:
 class SensitiveAutoencoder:
     """Frozen embedder from one-hot sensitive attributes to an e-vector.
 
-    In all_features mode the encoder was trained on [X | S_onehot]; the mean
-    train-split X per category combination is kept so embeddings stay a
-    deterministic function of the combination alone.
+    The encoder was trained on [X | S_onehot], with a zero-width X in
+    sensitive_only mode. Each combination's mean train-split X row is kept as
+    its context, so embeddings stay a deterministic function of the
+    combination alone.
     """
 
     core: Autoencoder
     e: int
-    input_mode: str = "sensitive_only"
-    combo_context: dict | None = None  # combo tuple -> mean X row (all_features)
+    combos: dict          # one-hot row tuple -> row of context
+    context: np.ndarray   # (k, d) mean train-split X per combination
 
 
 @dataclass
 class EmbeddingTable:
     """Embedding per sensitive-category combination observed in training."""
 
-    vectors: dict          # tuple of label indices -> (e,) array
-    group_sizes: tuple     # one-hot block widths, one per attribute
-    e: int
+    combos: dict          # one-hot row tuple -> row of vectors
+    vectors: np.ndarray   # (k, e)
+
+    @property
+    def e(self) -> int:
+        return self.vectors.shape[1]
 
     def lookup_rows(self, S_onehot) -> np.ndarray:
-        combos = decode_onehot_combos(S_onehot, self.group_sizes)
-        out = np.empty((len(combos), self.e))
-        for i, combo in enumerate(combos):
-            try:
-                out[i] = self.vectors[combo]
-            except KeyError:
-                raise KeyError(
-                    f"sensitive combination {combo} was not seen during pretraining"
-                ) from None
-        return out
+        return self.vectors[combo_indices(self.combos, S_onehot)]
 
 
-def decode_onehot_combos(S_onehot, group_sizes):
-    """Label-index tuples for each one-hot row, one index per attribute block."""
+def first_seen_combos(S_onehot):
+    """Distinct one-hot rows as {row tuple: index} in first-seen order, and
+    each row's index among them."""
+    combos = {}
+    rows = np.asarray(S_onehot, dtype=float).tolist()
+    inverse = np.array([combos.setdefault(tuple(r), len(combos)) for r in rows], dtype=np.intp)
+    return combos, inverse
+
+
+def combo_indices(combos, S_onehot) -> np.ndarray:
+    """Index in combos of each one-hot row of S_onehot."""
     S = np.asarray(S_onehot, dtype=float)
-    if S.shape[1] != sum(group_sizes):
-        raise ValueError(
-            f"one-hot width {S.shape[1]} does not match attribute blocks {group_sizes}"
-        )
-    labels = []
-    start = 0
-    for size in group_sizes:
-        labels.append(S[:, start : start + size].argmax(axis=1))
-        start += size
-    return [tuple(int(v) for v in row) for row in zip(*labels)] if labels else [()] * len(S)
+    width = len(next(iter(combos), ()))
+    if S.ndim != 2 or (combos and S.shape[1] != width):
+        raise ValueError(f"one-hot rows of shape {S.shape} do not have width {width}")
+    try:
+        return np.array([combos[tuple(row)] for row in S.tolist()], dtype=np.intp)
+    except KeyError as exc:
+        raise KeyError(
+            f"sensitive combination {exc.args[0]} was not seen during pretraining"
+        ) from None
 
 
 def fit_autoencoder(inputs, latent_dim, epochs=100, lr=1e-3, batch_size=64,
@@ -126,8 +131,8 @@ def pretrain(S_onehot, e, epochs, seed, X=None, input_mode="sensitive_only",
     """Pre-train the sensitive embedder; it is frozen after this call.
 
     The embedding must compress: e has to be smaller than the one-hot width.
-    In all_features mode X is concatenated to the encoder input while the
-    decoder still reconstructs only the one-hot block.
+    The encoder input is [X | S_onehot] and the decoder reconstructs only the
+    one-hot block; sensitive_only mode is the same with a zero-width X.
     """
     S = np.asarray(S_onehot, dtype=float)
     if e < 1:
@@ -141,26 +146,19 @@ def pretrain(S_onehot, e, epochs, seed, X=None, input_mode="sensitive_only",
     if input_mode not in AE_INPUT_MODES:
         raise ValueError(f"unknown input mode {input_mode!r}")
     if input_mode == "sensitive_only":
-        core = fit_autoencoder(S, e, epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
-        return SensitiveAutoencoder(core, e, input_mode)
-    if X is None:
+        X = np.zeros((S.shape[0], 0))
+    elif X is None:
         raise ValueError("all_features mode needs the feature matrix X")
     X = np.asarray(X, dtype=float)
     core = fit_autoencoder(
         np.hstack([X, S]), e, epochs=epochs, lr=lr, batch_size=batch_size,
         seed=seed, targets=S,
     )
-    context = {}
-    counts = {}
-    for i in range(S.shape[0]):
-        key = tuple(S[i].tolist())
-        if key not in context:
-            context[key] = np.zeros(X.shape[1])
-            counts[key] = 0
-        context[key] += X[i]
-        counts[key] += 1
-    context = {k: v / counts[k] for k, v in context.items()}
-    return SensitiveAutoencoder(core, e, input_mode, context)
+    combos, inverse = first_seen_combos(S)
+    sums = np.zeros((len(combos), X.shape[1]))
+    np.add.at(sums, inverse, X)  # unbuffered, in row order
+    context = sums / np.bincount(inverse, minlength=len(combos))[:, None]
+    return SensitiveAutoencoder(core, e, combos, context)
 
 
 def embed(ae: SensitiveAutoencoder, S_onehot) -> np.ndarray:
@@ -170,30 +168,13 @@ def embed(ae: SensitiveAutoencoder, S_onehot) -> np.ndarray:
         raise ValueError("S_onehot must be 2-D")
     if S.shape[0] == 0:
         return np.zeros((0, ae.e))
-    if ae.input_mode == "sensitive_only":
-        return forward(ae.core.encoder, S)
-    rows = []
-    for i in range(S.shape[0]):
-        key = tuple(S[i].tolist())
-        try:
-            rows.append(np.concatenate([ae.combo_context[key], S[i]]))
-        except KeyError:
-            raise KeyError(f"sensitive combination {key} was not seen during pretraining") from None
-    return forward(ae.core.encoder, np.array(rows))
+    context = ae.context[combo_indices(ae.combos, S)]
+    return forward(ae.core.encoder, np.hstack([context, S]))
 
 
-def build_embedding_table(ae: SensitiveAutoencoder, S_onehot, group_sizes) -> EmbeddingTable:
+def build_embedding_table(ae: SensitiveAutoencoder, S_onehot) -> EmbeddingTable:
     """Materialize embeddings for every combination present in S_onehot."""
     S = np.asarray(S_onehot, dtype=float)
-    combos = decode_onehot_combos(S, group_sizes)
-    vectors = {}
-    seen_rows = {}
-    for i, combo in enumerate(combos):
-        if combo not in seen_rows:
-            seen_rows[combo] = i
-    if seen_rows:
-        idx = list(seen_rows.values())
-        embedded = embed(ae, S[idx])
-        for combo, row in zip(seen_rows.keys(), embedded):
-            vectors[combo] = row.copy()
-    return EmbeddingTable(vectors, tuple(group_sizes), ae.e)
+    combos, _ = first_seen_combos(S)
+    rows = np.array(list(combos), dtype=float).reshape(len(combos), S.shape[1])
+    return EmbeddingTable(combos, embed(ae, rows))

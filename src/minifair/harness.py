@@ -222,7 +222,7 @@ def evaluate_scores(scores, test_ds, cv_sqrt=False) -> dict:
 def _classification_report(hard, y, cv_sqrt) -> dict:
     """Accuracy metrics and entropy indices of hard 0/1 predictions."""
     precision, recall, f1, bacc = classification_metrics(hard, y)
-    b, _ = benefits(hard, y)
+    b = benefits(hard, y)
     out = {
         "precision": precision,
         "recall": recall,
@@ -312,7 +312,7 @@ def run_one_repeat(args):
         e=e_dim,
         epochs=cfg.ae_epochs,
         seed=seed,
-        X=train_ds.X if cfg.ae_input == "all_features" else None,
+        X=train_ds.X,
         input_mode=cfg.ae_input,
     )
     for lam in lambdas:

@@ -130,19 +130,10 @@ def _median_pairwise_distance(pooled):
     return med
 
 
-def benefits(pred, y, clip_negative=False):
-    """Per-sample benefits b_i = pred_i - y_i + 1.
-
-    With clip_negative, values below 0 are floored at 0 (regression scores can
-    undershoot) and the number of clipped entries is returned alongside.
-    """
+def benefits(pred, y):
+    """Per-sample benefits b_i = pred_i - y_i + 1."""
     p, t = _paired(pred, y)
-    b = p - t + 1.0
-    n_clipped = 0
-    if clip_negative:
-        n_clipped = int(np.sum(b < 0.0))
-        b = np.maximum(b, 0.0)
-    return b, n_clipped
+    return p - t + 1.0
 
 
 def generalized_entropy_from_benefits(b, alpha: float) -> float:

@@ -184,7 +184,7 @@ def train(data: ProcessedDataset, ae: SensitiveAutoencoder, cfg: TrainConfig) ->
     n = data.n_rows
     if n < cfg.batch_size:
         raise ValueError(f"need at least batch_size={cfg.batch_size} training rows, got {n}")
-    table = build_embedding_table(ae, data.S_onehot, data.sensitive_group_sizes)
+    table = build_embedding_table(ae, data.S_onehot)
     model = init_three_player(data.X.shape[1], table, cfg)
     _, _, _, shuffle_seed = player_seeds(cfg.seed)
     rng = np.random.default_rng(shuffle_seed)

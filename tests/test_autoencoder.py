@@ -3,7 +3,6 @@ import pytest
 
 from minifair.autoencoder import (
     build_embedding_table,
-    decode_onehot_combos,
     embed,
     fit_autoencoder,
     pretrain,
@@ -99,6 +98,17 @@ class TestEmbed:
                 first[c] = v
             assert np.array_equal(first[c], v)
 
+    def test_unseen_combination_raises_in_both_modes(self):
+        onehot = np.zeros((4, 4))
+        onehot[:, 0] = 1.0
+        onehot[:, 2] = 1.0  # only combo (0, 0) observed
+        unseen = np.array([[0.0, 1.0, 0.0, 1.0]])
+        x = np.arange(8.0).reshape(4, 2)
+        for mode in ("sensitive_only", "all_features"):
+            ae = pretrain(onehot, e=1, epochs=5, seed=0, X=x, input_mode=mode)
+            with pytest.raises(KeyError):
+                embed(ae, unseen)
+
     def test_all_features_requires_x(self):
         onehot = two_category_onehot()
         with pytest.raises(ValueError):
@@ -109,14 +119,16 @@ class TestEmbeddingTable:
     def test_one_entry_per_observed_combination(self):
         onehot, labels = crossed_onehot(n=80, sizes=(3, 2))
         ae = pretrain(onehot, e=2, epochs=20, seed=0)
-        table = build_embedding_table(ae, onehot, (3, 2))
-        observed = {tuple(int(v) for v in row) for row in labels}
-        assert set(table.vectors) == observed
+        table = build_embedding_table(ae, onehot)
+        observed = {tuple(row) for row in onehot.tolist()}
+        assert len(observed) == len({tuple(row) for row in labels.tolist()})
+        assert set(table.combos) == observed
+        assert table.vectors.shape == (len(observed), 2)
 
     def test_lookup_matches_embed(self):
         onehot, _ = crossed_onehot(n=40, sizes=(2, 2))
         ae = pretrain(onehot, e=1, epochs=20, seed=0)
-        table = build_embedding_table(ae, onehot, (2, 2))
+        table = build_embedding_table(ae, onehot)
         assert np.allclose(table.lookup_rows(onehot), embed(ae, onehot))
 
     def test_unseen_combination_raises(self):
@@ -124,7 +136,7 @@ class TestEmbeddingTable:
         onehot[:, 0] = 1.0
         onehot[:, 2] = 1.0  # only combo (0, 0) observed
         ae = pretrain(onehot, e=1, epochs=5, seed=0)
-        table = build_embedding_table(ae, onehot, (2, 2))
+        table = build_embedding_table(ae, onehot)
         unseen = np.array([[0.0, 1.0, 0.0, 1.0]])
         with pytest.raises(KeyError):
             table.lookup_rows(unseen)
@@ -132,22 +144,17 @@ class TestEmbeddingTable:
     def test_injective_on_training_categories(self):
         onehot, _ = crossed_onehot(n=200, sizes=(3, 2))
         ae = pretrain(onehot, e=2, epochs=400, seed=7)
-        table = build_embedding_table(ae, onehot, (3, 2))
-        vecs = list(table.vectors.values())
+        table = build_embedding_table(ae, onehot)
+        vecs = table.vectors
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 assert np.linalg.norm(vecs[i] - vecs[j]) > 1e-3
 
-
-class TestDecodeCombos:
-    def test_round_trip(self):
-        onehot, labels = crossed_onehot(n=30, sizes=(3, 2))
-        combos = decode_onehot_combos(onehot, (3, 2))
-        assert combos == [tuple(int(v) for v in row) for row in labels]
-
     def test_width_mismatch(self):
+        onehot, _ = crossed_onehot(n=20, sizes=(2, 2))
+        table = build_embedding_table(pretrain(onehot, e=1, epochs=1, seed=0), onehot)
         with pytest.raises(ValueError):
-            decode_onehot_combos(np.zeros((2, 3)), (2, 2))
+            table.lookup_rows(np.zeros((2, 3)))
 
 
 def test_fit_autoencoder_narrow_targets():

@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minifair.data import (
     BUILTIN_SPECS,
@@ -245,6 +251,63 @@ class TestPreprocess:
             block = ds.S_onehot[:, start : start + size]
             assert np.array_equal(block.argmax(axis=1), ds.S_labels[:, attr_i])
             start += size
+
+
+@st.composite
+def mixed_tables(draw):
+    """A spec with 1-2 sensitive columns among 0-2 continuous and 0-2
+    categorical ones, rows of cells for it, and a second draw of the
+    sensitive cells."""
+    n_sens = draw(st.integers(1, 2))
+    n_cont = draw(st.integers(0, 2))
+    n_cat = draw(st.integers(0, 2))
+    n = draw(st.integers(5, 30))
+    cells = st.sampled_from(["a", "b", "c", "1", "2.5"])
+    spec = DatasetSpec(
+        name="mixed",
+        task="regression",
+        target_column="y",
+        sensitive_columns=tuple(f"s{i}" for i in range(n_sens)),
+        continuous_columns=tuple(f"c{i}" for i in range(n_cont)),
+        categorical_columns=tuple(f"k{i}" for i in range(n_cat)),
+    )
+    floats = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    rows = []
+    for _ in range(n):
+        row = {c: draw(floats) for c in spec.continuous_columns + ("y",)}
+        row.update({c: draw(cells) for c in spec.categorical_columns + spec.sensitive_columns})
+        rows.append(row)
+    # sensitive cells may copy a categorical column, so X must not pick them by value
+    redraw = [{c: draw(cells) for c in spec.sensitive_columns} for _ in range(n)]
+    return spec, rows, redraw
+
+
+def _process(spec, rows, train):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        return preprocess(load_csv(path, spec), spec, train)
+
+
+@given(mixed_tables())
+@settings(max_examples=60, deadline=None)
+def test_sensitive_columns_never_reach_x(table):
+    spec, rows, redraw = table
+    train = split(len(rows), seed=0).train_indices
+    ds = _process(spec, rows, train)
+    for name in ds.column_names:
+        assert name.split("=")[0] not in spec.sensitive_columns
+    n_cats = sum(len({r[c] for r in rows}) for c in spec.categorical_columns)
+    assert ds.X.shape == (len(rows), len(spec.continuous_columns) + n_cats)
+    n_sens = sum(len({r[c] for r in rows}) for c in spec.sensitive_columns)
+    assert ds.S_onehot.shape == (len(rows), n_sens)
+    # new sensitive cells change S but leave X bit for bit as it was
+    other = _process(spec, [{**r, **s} for r, s in zip(rows, redraw)], train)
+    assert other.X.tobytes() == ds.X.tobytes()
+    assert other.column_names == ds.column_names
 
 
 def test_builtin_spec_unknown_name():

@@ -4,9 +4,10 @@ Each case runs `minifair run` or `minifair sweep` on a tiny seeded synthetic
 table and compares the report file with the committed one in tests/golden/.
 The cases cover trainer branches that the default configuration never takes
 (fair_mode total, ascend_gap, several steps per player, a zero gap weight,
-the all_features embedder, BCE) and the boosted-stump heads on raw features
-and latent codes for both tasks, so a refactor that changes any float
-operation order on those paths shows up here.
+the all_features embedder on law, compas and the wide one-hot adult table,
+BCE) and the boosted-stump heads on raw features and latent codes for both
+tasks, so a refactor that changes any float operation order on those paths
+shows up here.
 
 Regenerate the files only when a report change is intended:
 
@@ -18,12 +19,12 @@ from pathlib import Path
 import pytest
 
 from minifair.cli import main
-from minifair.synthdata import generate_compas_csv, generate_law_csv
+from minifair.synthdata import generate_adult_csv, generate_compas_csv, generate_law_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
-GENERATORS = {"law": generate_law_csv, "compas": generate_compas_csv}
-ROWS = {"law": 500, "compas": 450}
+GENERATORS = {"law": generate_law_csv, "compas": generate_compas_csv, "adult": generate_adult_csv}
+ROWS = {"law": 500, "compas": 450, "adult": 500}
 
 COMMON = (
     "repeats = 2\n"
@@ -58,6 +59,9 @@ CASES = {
     "compas-run-gboost": (
         "run", "compas", "csv",
         "methods = full-gboost, unaware-gboost, invenc-gboost\nboost.learning_rate = 1\n", []),
+    # every race x sex combination, embedded with the wide one-hot-heavy X
+    "adult-all-features": (
+        "run", "adult", "csv", "methods = invenc-gboost, invfair\nae.input = all_features\n", []),
 }
 
 

@@ -229,16 +229,16 @@ class TestGaussianMMD:
 class TestGeneralizedEntropy:
     def test_all_correct_is_zero(self):
         for alpha in [0.5, 1.0, 2.0, 3.0]:
-            b = benefits([1, 0, 1], [1, 0, 1])[0]
+            b = benefits([1, 0, 1], [1, 0, 1])
             assert generalized_entropy_from_benefits(b, alpha) == pytest.approx(0.0)
 
     def test_theil_hand_case(self):
         # one false positive (b=2), one false negative (b=0)
-        b = benefits([1.0, 0.0], [0.0, 1.0])[0]
+        b = benefits([1.0, 0.0], [0.0, 1.0])
         assert generalized_entropy_from_benefits(b, 1.0) == pytest.approx(math.log(2))
 
     def test_ge2_hand_case(self):
-        b = benefits([1.0, 0.0], [0.0, 1.0])[0]
+        b = benefits([1.0, 0.0], [0.0, 1.0])
         assert generalized_entropy_from_benefits(b, 2.0) == pytest.approx(0.5)
 
     def test_matches_printed_formula(self):
@@ -292,11 +292,6 @@ class TestGeneralizedEntropy:
     def test_negative_benefits_rejected(self):
         with pytest.raises(ValueError):
             generalized_entropy_from_benefits([-0.5, 1.0], 2.0)
-
-    def test_benefits_clipping(self):
-        b, clipped = benefits([0.0, 5.0], [3.0, 1.0], clip_negative=True)
-        assert clipped == 1
-        assert b.tolist() == [0.0, 5.0]
 
 
 class TestGroupFairness:

@@ -29,7 +29,7 @@ def law_parts(law_dataset):
 
 
 def small_model(train_ds, ae, cfg):
-    table = build_embedding_table(ae, train_ds.S_onehot, train_ds.sensitive_group_sizes)
+    table = build_embedding_table(ae, train_ds.S_onehot)
     return init_three_player(train_ds.X.shape[1], table, cfg)
 
 
@@ -148,7 +148,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=0, batch_size=64, z_dim=4,
                           encoder_hidden=16, predictor_hidden=8)
         trained = train(train_ds, ae, cfg)
-        table = build_embedding_table(ae, train_ds.S_onehot, train_ds.sensitive_group_sizes)
+        table = build_embedding_table(ae, train_ds.S_onehot)
         fresh = init_three_player(train_ds.X.shape[1], table, cfg)
         for got, want in zip(
             param_arrays(trained.model.encoder), param_arrays(fresh.encoder)
@@ -304,7 +304,7 @@ class TestPassCounts:
 
         train_ds, _, ae = law_parts
         cfg = TrainConfig(**dict(FAST, epochs=1, batch_size=train_ds.n_rows))
-        table = build_embedding_table(ae, train_ds.S_onehot, train_ds.sensitive_group_sizes)
+        table = build_embedding_table(ae, train_ds.S_onehot)
         nets = []
         activations = []
         real_forward = trainer.forward
