@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import MLP, forward, backward, init_adam, adam_step, init_mlp, loss, loss_grad
+from .neural import MLP, forward, backward, init_adam, adam_step, init_mlp, loss_grad
 
 AE_INPUT_MODES = ("sensitive_only", "all_features")
 
@@ -117,13 +117,6 @@ def fit_autoencoder(inputs, latent_dim, epochs=100, lr=1e-3, batch_size=64,
             adam_step(decoder, dec_grads, dec_state)
             adam_step(encoder, enc_grads, enc_state)
     return Autoencoder(encoder, decoder, latent_dim)
-
-
-def reconstruction_mse(ae: Autoencoder, inputs, targets=None) -> float:
-    inputs = np.asarray(inputs, dtype=float)
-    targets = inputs if targets is None else np.asarray(targets, dtype=float)
-    recon = forward(ae.decoder, forward(ae.encoder, inputs))
-    return loss("mse", recon.ravel(), targets.ravel())
 
 
 def pretrain(S_onehot, e, epochs, seed, X=None, input_mode="sensitive_only",

@@ -9,6 +9,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .harness import (
+    MethodFailed,
     emit_report,
     emit_sweep_report,
     experiment_config_from_dict,
@@ -40,7 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     score_p = sub.add_parser("score", help="metric suite over a predictions CSV")
-    score_p.add_argument("--predictions", required=True, help="CSV with prediction,target[,group]")
+    score_p.add_argument(
+        "--predictions",
+        required=True,
+        help="CSV with a target column, a prediction (regression) or logit "
+        "(classification) column, and one column per sensitive attribute",
+    )
     score_p.add_argument("--out", required=True, help="report path")
     score_p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -89,7 +95,7 @@ def main(argv=None) -> int:
             report = score_prediction_file(args.predictions)
             emit_report(report, args.format, args.out)
             print(f"wrote {args.format} report to {args.out}")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MethodFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

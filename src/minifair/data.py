@@ -151,10 +151,6 @@ class ProcessedDataset:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def sensitive_group_sizes(self) -> tuple:
-        return tuple(len(cats) for cats in self.sensitive_categories)
-
     def take(self, indices) -> "ProcessedDataset":
         idx = np.asarray(indices, dtype=int)
         return ProcessedDataset(

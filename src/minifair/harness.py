@@ -185,20 +185,20 @@ def metric_names_for(task: str, cv_sqrt: bool) -> tuple:
     return CLASSIFICATION_METRIC_NAMES + (("cv_sqrt",) if cv_sqrt else ())
 
 
-def evaluate_scores(scores, test_ds, cv_sqrt=False) -> dict:
-    """Metric dict for raw model scores on a test split.
+def evaluate_scores(scores, y, S_labels, task, cv_sqrt=False) -> dict:
+    """Metric dict for raw model scores against targets `y`.
 
     Classification scores are logits; the decision threshold is sigmoid 0.5,
-    i.e. score >= 0. Distribution distances compare prediction distributions
-    across each sensitive attribute's groups and average per attribute.
+    i.e. score >= 0. `S_labels` holds one integer label column per sensitive
+    attribute. Distribution distances compare prediction distributions across
+    each attribute's groups and average per attribute.
     """
     scores = np.asarray(scores, dtype=float).ravel()
-    y = test_ds.y
-    if test_ds.task == "regression":
+    if task == "regression":
         rmse, mae, r2 = regression_metrics(scores, y)
         w_vals = []
         m_vals = []
-        for col in test_ds.S_labels.T:
+        for col in S_labels.T:
             if np.all(col == col[0]):
                 continue  # attribute has a single group in this split
             w, m = group_fairness(scores, col)
@@ -216,11 +216,7 @@ def evaluate_scores(scores, test_ds, cv_sqrt=False) -> dict:
     # not np.unique: on floats it imports numpy.ma, ~1.4 MB of peak RSS
     if np.all(y == y[0]):
         raise MethodFailed("the test split has a single class")
-    return _classification_report((scores >= 0.0).astype(float), y, cv_sqrt)
-
-
-def _classification_report(hard, y, cv_sqrt) -> dict:
-    """Accuracy metrics and entropy indices of hard 0/1 predictions."""
+    hard = (scores >= 0.0).astype(float)
     precision, recall, f1, bacc = classification_metrics(hard, y)
     b = benefits(hard, y)
     out = {
@@ -293,7 +289,9 @@ def run_one_repeat(args):
             scores = _score_method(
                 method, cfg, train_ds, test_ds, trained, baseline_ae, train_error
             )
-            metrics = evaluate_scores(scores, test_ds, cfg.cv_sqrt)
+            metrics = evaluate_scores(
+                scores, test_ds.y, test_ds.S_labels, test_ds.task, cfg.cv_sqrt
+            )
         except MethodFailed as exc:
             return RunResult(
                 method, seed, None, time.perf_counter() - started, True, str(exc), lam
@@ -526,43 +524,42 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def score_prediction_file(path, cv_sqrt=False):
-    """Apply the metric suite to an external predictions CSV.
+def score_prediction_file(path) -> AggregateReport:
+    """Apply `evaluate_scores` to an external predictions CSV.
 
-    Columns: prediction, target, optional group. Targets all in {0, 1} mean
-    classification (predictions are probabilities or hard labels, thresholded
-    at 0.5); anything else means regression, where a group column adds the
-    distribution distances.
+    Columns: `target`, one score column and one column per sensitive
+    attribute. The score column states the task: `prediction` holds
+    regression scores, `logit` holds classification logits, thresholded at 0
+    as `run` does. Each attribute's labels are numbered in sorted order, as
+    preprocessing numbers them.
     """
-    predictions = []
-    targets = []
-    groups = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"prediction", "target"} <= set(reader.fieldnames):
-            raise ValueError("predictions CSV needs 'prediction' and 'target' columns")
-        has_group = "group" in reader.fieldnames
-        for row in reader:
-            predictions.append(float(row["prediction"]))
-            targets.append(float(row["target"]))
-            if has_group:
-                groups.append(row["group"])
-    pred = np.array(predictions)
-    y = np.array(targets)
-    if pred.size == 0:
+        columns = reader.fieldnames or []
+        score_columns = [c for c in ("prediction", "logit") if c in columns]
+        if "target" not in columns or len(score_columns) != 1:
+            raise ValueError(
+                "predictions CSV needs a 'target' column and exactly one of "
+                "'prediction' (regression) or 'logit' (classification)"
+            )
+        (score_column,) = score_columns
+        attrs = [c for c in columns if c not in ("target", score_column)]
+        rows = list(reader)
+    if not rows:
         raise ValueError("predictions CSV has no rows")
-    if np.all((y == 0.0) | (y == 1.0)):
-        out = _classification_report((pred >= 0.5).astype(float), y, cv_sqrt)
-        task = "classification"
-    else:
-        rmse, mae, r2 = regression_metrics(pred, y)
-        out = {"rmse": rmse, "mae": mae, "r2": r2}
-        if groups:
-            labels = {g: i for i, g in enumerate(sorted(set(groups)))}
-            w, m = group_fairness(pred, [labels[g] for g in groups])
-            out["wasserstein"] = w
-            out["gaussian_mmd"] = m
-        task = "regression"
+    for i, row in enumerate(rows, start=1):
+        # DictReader keys extra cells by None and fills missing ones with None
+        if None in row or None in row.values():
+            raise ValueError(f"predictions CSV row {i} does not have {len(columns)} cells")
+    scores = np.array([float(row[score_column]) for row in rows])
+    y = np.array([float(row["target"]) for row in rows])
+    label_cols = []
+    for attr in attrs:
+        lookup = {c: i for i, c in enumerate(sorted({row[attr] for row in rows}))}
+        label_cols.append([lookup[row[attr]] for row in rows])
+    S_labels = np.array(label_cols, dtype=int).T.reshape(len(rows), len(attrs))
+    task = "regression" if score_column == "prediction" else "classification"
+    out = evaluate_scores(scores, y, S_labels, task)
     stats = {name: MetricStats(value, 0.0, 0.0, 1) for name, value in out.items()}
     return AggregateReport(
         task=task,

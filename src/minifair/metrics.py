@@ -23,10 +23,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def regression_metrics(pred, y):
     """(rmse, mae, r2). r2 is 0 by convention when both SS_tot and SS_res vanish."""

@@ -2,8 +2,8 @@
 gradients, losses, and Adam.
 
 Everything is float64. Networks are plain dataclasses of numpy arrays with no
-hidden state, so copies are cheap and independent seeded runs are trivially
-parallel. One trainer mutates one network at a time; nothing here locks.
+hidden state, so independent seeded runs are trivially parallel. One trainer
+mutates one network at a time; nothing here locks.
 """
 from __future__ import annotations
 
@@ -69,9 +69,6 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 @dataclass
 class MLP:
@@ -95,9 +92,6 @@ class MLP:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
-
-    def copy(self) -> "MLP":
-        return MLP([layer.copy() for layer in self.layers])
 
 
 @dataclass
@@ -313,12 +307,3 @@ def init_mlp(dims, activations, seed: int) -> MLP:
         w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)) / np.sqrt(d_in)
         layers.append(DenseLayer(w, np.zeros(d_out), act))
     return MLP(layers)
-
-
-def param_arrays(net: MLP) -> list:
-    """Flat list of references to all parameter arrays (weights, biases)."""
-    out = []
-    for layer in net.layers:
-        out.append(layer.weights)
-        out.append(layer.bias)
-    return out

@@ -136,10 +136,3 @@ def generate_adult_csv(path, n=1500, seed=0):
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-GENERATORS = {
-    "law": generate_law_csv,
-    "compas": generate_compas_csv,
-    "adult": generate_adult_csv,
-}

@@ -22,11 +22,12 @@ from minifair.harness import (
     run_one_repeat,
 )
 from minifair.metrics import gaussian_mmd, generalized_entropy_from_benefits, wasserstein_1d
-from minifair.neural import LOSS_KINDS, init_mlp, param_arrays
+from minifair.neural import LOSS_KINDS, init_mlp
 from minifair.stats import paired_t_test
 from minifair.synthdata import generate_adult_csv, generate_compas_csv, generate_law_csv
 from minifair.trainer import TrainConfig, fair_predict, train
 
+from net_params import param_arrays
 from supervised_reference import train_supervised
 from test_metrics import assignment_wasserstein
 from test_neural import backprop_grads_flat, finite_diff_grads
@@ -134,7 +135,7 @@ def test_criterion_3_literal_invariance(data_dir):
             model = train(train_ds, ae, cfg).model
             baseline = fair_predict(model, test_ds.X)
 
-            sizes = test_ds.sensitive_group_sizes
+            sizes = tuple(len(cats) for cats in test_ds.sensitive_categories)
             n = test_ds.n_rows
             rng = np.random.default_rng(7)
             relabelings = []

@@ -110,10 +110,26 @@ class TestSweep:
 class TestScore:
     def test_score_predictions(self, tmp_path):
         preds = tmp_path / "preds.csv"
-        preds.write_text("prediction,target\n0.9,1\n0.1,0\n")
+        preds.write_text("logit,target\n2.2,1\n-2.2,0\n")
         out = tmp_path / "scored.csv"
         assert main(["score", "--predictions", str(preds), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "method,metric,mean,variance,n"
+
+    def test_score_regression_without_two_groups_exits_1(self, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("target,prediction,group\n0.4,0.5,a\n0.9,0.7,a\n")
+        out = tmp_path / "scored.csv"
+        assert main(["score", "--predictions", str(preds), "--out", str(out)]) == 1
+        assert "no sensitive attribute has two groups" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_score_classification_with_one_class_exits_1(self, tmp_path, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("target,logit,group\n1,2.2,a\n1,-1.0,b\n")
+        out = tmp_path / "scored.csv"
+        assert main(["score", "--predictions", str(preds), "--out", str(out)]) == 1
+        assert "single class" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_score_missing_file(self, tmp_path):
         assert (

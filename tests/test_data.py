@@ -184,7 +184,7 @@ class TestPreprocess:
         spec = builtin_spec("law")
         ds = preprocess(law_raw, spec, train_indices=np.arange(90))
         start = 0
-        for size in ds.sensitive_group_sizes:
+        for size in map(len, ds.sensitive_categories):
             block = ds.S_onehot[:, start : start + size]
             assert np.all(block.sum(axis=1) == 1.0)
             start += size
@@ -247,7 +247,7 @@ class TestPreprocess:
         spec = builtin_spec("law")
         ds = preprocess(law_raw, spec, train_indices=np.arange(90))
         start = 0
-        for attr_i, size in enumerate(ds.sensitive_group_sizes):
+        for attr_i, size in enumerate(map(len, ds.sensitive_categories)):
             block = ds.S_onehot[:, start : start + size]
             assert np.array_equal(block.argmax(axis=1), ds.S_labels[:, attr_i])
             start += size

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import embedding_reference as ref
 from minifair.autoencoder import build_embedding_table, embed, pretrain
-from minifair.neural import param_arrays
+from net_params import param_arrays
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from minifair.harness import (
     run_experiment,
     score_prediction_file,
 )
+from minifair.metrics import group_fairness, regression_metrics
 from minifair.synthdata import generate_compas_csv, generate_law_csv
 from minifair.trainer import TrainConfig
 
@@ -317,7 +319,8 @@ class TestScorePredictionFile:
 
     def test_classification_thresholds_at_half(self, tmp_path):
         path = tmp_path / "preds.csv"
-        path.write_text("prediction,target\n0.9,1\n0.2,0\n0.8,1\n0.1,0\n")
+        # logits of the probabilities 0.9, 0.2, 0.8 and 0.1; sigmoid 0.5 is logit 0
+        path.write_text("logit,target\n2.2,1\n-1.4,0\n1.4,1\n-2.2,0\n")
         report = score_prediction_file(path)
         assert report.task == "classification"
         assert report.methods["external"]["balanced_acc"].mean == 1.0
@@ -328,6 +331,90 @@ class TestScorePredictionFile:
         with pytest.raises(ValueError):
             score_prediction_file(path)
 
+    @pytest.mark.parametrize("row", ["0.5,0.4", "0.5,0.4,a,b"])
+    def test_ragged_rows_rejected(self, tmp_path, row):
+        path = tmp_path / "preds.csv"
+        path.write_text(f"prediction,target,group\n0.7,0.9,b\n{row}\n")
+        with pytest.raises(ValueError, match="row 2 does not have 3 cells"):
+            score_prediction_file(path)
+
+    def test_two_score_columns_rejected(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("target,prediction,logit,group\n1,0.5,0.5,a\n0,0.1,0.1,b\n")
+        with pytest.raises(ValueError, match="exactly one"):
+            score_prediction_file(path)
+
+    def test_binary_targets_of_a_prediction_file_are_regression(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("target,prediction,group\n0,0.2,a\n1,0.7,b\n1,0.4,a\n0,0.1,b\n")
+        report = score_prediction_file(path)
+        assert report.task == "regression"
+        rmse, mae, r2 = regression_metrics([0.2, 0.7, 0.4, 0.1], [0.0, 1.0, 1.0, 0.0])
+        stats = report.methods["external"]
+        assert (stats["rmse"].mean, stats["mae"].mean, stats["r2"].mean) == (rmse, mae, r2)
+
+    def test_two_attribute_columns_average_both(self, tmp_path):
+        pred = [0.5, 0.7, 0.2, 0.9, 0.4, 0.1]
+        race = ["w", "b", "b", "w", "h", "w"]
+        sex = ["m", "m", "f", "f", "m", "f"]
+        path = tmp_path / "preds.csv"
+        path.write_text("target,prediction,race,sex\n" + "".join(
+            f"0.5,{p},{r},{s}\n" for p, r, s in zip(pred, race, sex)
+        ))
+        per_attr = [group_fairness(pred, labels) for labels in (race, sex)]
+        stats = score_prediction_file(path).methods["external"]
+        assert stats["wasserstein"].mean == float(np.mean([w for w, _ in per_attr]))
+        assert stats["gaussian_mmd"].mean == float(np.mean([m for _, m in per_attr]))
+
+    @pytest.mark.parametrize("dataset", ["law", "compas"])
+    def test_round_trip_reproduces_run_metrics(self, dataset, law_csv, compas_csv, tmp_path,
+                                               monkeypatch):
+        """Test-split scores of `run`, written with repr and re-scored, give
+        every per-seed metric of `run` bit for bit."""
+        from minifair import harness
+        from minifair.data import load_csv
+
+        data_path = {"law": law_csv, "compas": compas_csv}[dataset]
+        cfg = fast_config(
+            data_path, dataset, methods=("full-lr", "unaware-gboost", "invfair"), repeats=1
+        )
+        calls = []
+        processed = []
+        real_evaluate = harness.evaluate_scores
+        real_preprocess = harness.preprocess
+
+        def recording_evaluate(*args):
+            metrics = real_evaluate(*args)
+            calls.append((args, metrics))
+            return metrics
+
+        def recording_preprocess(*args):
+            processed.append(real_preprocess(*args))
+            return processed[-1]
+
+        monkeypatch.setattr(harness, "evaluate_scores", recording_evaluate)
+        monkeypatch.setattr(harness, "preprocess", recording_preprocess)
+        results = harness.run_one_repeat((cfg, load_csv(data_path, cfg.spec), 0))
+        monkeypatch.undo()
+        assert not any(r.failed for r in results)
+        assert [r.metrics for r in results] == [metrics for _, metrics in calls]
+
+        (full,) = processed
+        score_column = "prediction" if cfg.spec.task == "regression" else "logit"
+        for (scores, y, S_labels, task, _), metrics in calls:
+            path = tmp_path / "preds.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["target", score_column, *full.sensitive_attrs])
+                for score, target, labels in zip(np.ravel(scores), y, S_labels):
+                    names = [cats[i] for cats, i in zip(full.sensitive_categories, labels)]
+                    writer.writerow([repr(float(target)), repr(float(score)), *names])
+            report = score_prediction_file(path)
+            assert report.task == task
+            assert report.metric_names == tuple(metrics)
+            for name, value in metrics.items():
+                assert report.methods["external"][name].mean == value, name
+
 
 def test_evaluate_scores_skips_single_group_attributes(law_dataset):
     ds, sp = law_dataset
@@ -336,7 +423,7 @@ def test_evaluate_scores_skips_single_group_attributes(law_dataset):
     test_ds.S_labels = test_ds.S_labels.copy()
     test_ds.S_labels[:, 1] = 0
     scores = np.linspace(-1, 1, test_ds.n_rows)
-    out = evaluate_scores(scores, test_ds)
+    out = evaluate_scores(scores, test_ds.y, test_ds.S_labels, test_ds.task)
     assert np.isfinite(out["wasserstein"])
 
 
@@ -350,7 +437,7 @@ def test_evaluate_scores_lets_group_fairness_errors_through(law_dataset, monkeyp
     test_ds = ds.take(sp.test_indices)
     monkeypatch.setattr(harness, "group_fairness", broken_group_fairness)
     with pytest.raises(ValueError, match="length mismatch in group_fairness"):
-        evaluate_scores(np.zeros(test_ds.n_rows), test_ds)
+        evaluate_scores(np.zeros(test_ds.n_rows), test_ds.y, test_ds.S_labels, test_ds.task)
 
 
 class TestFailureAccounting:

@@ -78,7 +78,7 @@ def test_cv_sqrt_metric(law_dataset):
     test_ds.y = (np.arange(test_ds.n_rows) % 2).astype(float)
     scores = np.where(test_ds.y == 1, 1.0, -1.0) * np.linspace(0.2, 2.0, test_ds.n_rows)
     scores[0] = -scores[0]  # one error so cv > 0
-    out = evaluate_scores(scores, test_ds, cv_sqrt=True)
+    out = evaluate_scores(scores, test_ds.y, test_ds.S_labels, test_ds.task, cv_sqrt=True)
     assert out["cv_sqrt"] == pytest.approx(math.sqrt(2.0 * out["cv"]))
 
 
@@ -107,7 +107,7 @@ def test_train_config_validation():
 
 def test_steps_per_player_changes_training(law_dataset):
     from minifair.autoencoder import pretrain
-    from minifair.neural import param_arrays
+    from net_params import param_arrays
     from minifair.trainer import train
 
     ds, sp = law_dataset

@@ -18,9 +18,9 @@ from minifair.neural import (
     leaky_relu,
     loss,
     loss_grad,
-    param_arrays,
     sigmoid,
 )
+from net_params import param_arrays
 
 
 def finite_diff_grads(net, batch, target, kind, step=1e-5):

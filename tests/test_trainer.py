@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minifair.autoencoder import build_embedding_table, pretrain
-from minifair.neural import forward, param_arrays
+from minifair.neural import forward
 from minifair import trainer
 from minifair.trainer import (
     TrainConfig,
@@ -10,11 +10,11 @@ from minifair.trainer import (
     encode,
     fair_predict,
     init_three_player,
-    objective,
-    sensitive_predict,
     train,
 )
+from net_params import param_arrays
 from supervised_reference import train_supervised
+from trainer_reference import objective, sensitive_predict
 
 FAST = dict(epochs=5, batch_size=64, encoder_hidden=16, predictor_hidden=8, z_dim=4)
 
