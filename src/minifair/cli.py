@@ -7,8 +7,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config
+from .config import KEYS, ConfigError, load_config
 from .harness import (
+    REPORT_FORMATS,
     MethodFailed,
     emit_report,
     emit_sweep_report,
@@ -28,16 +29,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="repeated-run method comparison")
     sweep_p = sub.add_parser("sweep", help="gap-weight sweep of the invariant method")
+    # an override's dest is the config key it sets
     for p in (run_p, sweep_p):
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--dataset", help="override configured dataset name")
-        p.add_argument("--method", help="override method list, comma-separated")
+        p.add_argument("--method", dest="methods", help="override method list, comma-separated")
         p.add_argument("--repeats", type=int, help="override repeat count")
         p.add_argument("--seed", type=int, help="override base seed")
-        p.add_argument("--out", help="override report path")
-        p.add_argument("--format", choices=("csv", "json"), help="override report format")
+        p.add_argument("--out", dest="out.path", help="override report path")
+        p.add_argument(
+            "--format", dest="out.format", choices=REPORT_FORMATS, help="override report format"
+        )
     sweep_p.add_argument(
-        "--lambda", dest="lambdas", help="comma-separated gap weights to sweep"
+        "--lambda", dest="sweep.lambdas", help="comma-separated gap weights to sweep"
     )
 
     score_p = sub.add_parser("score", help="metric suite over a predictions CSV")
@@ -48,26 +52,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(classification) column, and one column per sensitive attribute",
     )
     score_p.add_argument("--out", required=True, help="report path")
-    score_p.add_argument("--format", choices=("csv", "json"), default="csv")
+    score_p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     return parser
 
 
 def _load_experiment(args):
     mapping = load_config(args.config)
-    if args.dataset:
-        mapping["dataset"] = args.dataset
-    if args.method:
-        mapping["methods"] = args.method
-    if args.repeats is not None:
-        mapping["repeats"] = str(args.repeats)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
+    mapping.update(
+        (key, str(value)) for key, value in vars(args).items()
+        if key in KEYS and value is not None
+    )
     cfg = experiment_config_from_dict(mapping)
-    if args.out:
-        cfg.out_path = args.out
-    if args.format:
-        cfg.out_format = args.format
-    if cfg.out_path is None:
+    if not cfg.out_path:
         raise ConfigError("no output path: set out.path or pass --out")
     return cfg
 
@@ -82,13 +78,9 @@ def main(argv=None) -> int:
             print(f"wrote {cfg.out_format} report to {cfg.out_path}")
         elif args.command == "sweep":
             cfg = _load_experiment(args)
-            if args.lambdas:
-                lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
-            else:
-                lambdas = cfg.sweep_lambdas
-            if not lambdas:
+            if not cfg.sweep_lambdas:
                 raise ConfigError("no lambdas: set sweep.lambdas or pass --lambda")
-            reports = lambda_sweep(cfg, lambdas)
+            reports = lambda_sweep(cfg, cfg.sweep_lambdas)
             emit_sweep_report(reports, cfg.out_format, cfg.out_path)
             print(f"wrote {cfg.out_format} sweep report to {cfg.out_path}")
         else:  # score

@@ -3,47 +3,76 @@
 Dotted keys group related settings (train.lambda, out.path, ...). Lines
 starting with # and blank lines are ignored. Unknown keys are rejected so
 typos fail loudly instead of silently using a default.
+
+KEYS is the whole schema: each key names the field it sets and how its text
+is parsed. A key under `train.` sets a field of trainer.TrainConfig, any
+other key one of harness.ExperimentConfig. Defaults live on those dataclass
+fields, whose checks run when the config is built, before any data is read.
 """
 from __future__ import annotations
 
-KNOWN_KEYS = frozenset(
-    {
-        "dataset",
-        "data.path",
-        "methods",
-        "repeats",
-        "seed",
-        "workers",
-        "train.lambda",
-        "train.epochs",
-        "train.batch_size",
-        "train.lr",
-        "train.h_slope",
-        "train.adversary_mode",
-        "train.fair_mode",
-        "train.loss_kind",
-        "train.z_dim",
-        "train.encoder_hidden",
-        "train.predictor_hidden",
-        "train.steps_per_player",
-        "ae.e",
-        "ae.epochs",
-        "ae.input",
-        "baseline.ae_latent",
-        "baseline.ae_epochs",
-        "boost.rounds",
-        "boost.learning_rate",
-        "metrics.cv_sqrt",
-        "sweep.lambdas",
-        "out.path",
-        "out.format",
-        "out.history_dir",
-    }
-)
+from .data import BUILTIN_SPECS, builtin_spec
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _bool(text):
+    value = text.lower()
+    if value in ("true", "yes", "1"):
+        return True
+    if value in ("false", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _items(text):
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+# (parse, what it accepts): parse raises ValueError on text it rejects
+TEXT = (str, "text")
+INT = (int, "an integer")
+FLOAT = (float, "a number")
+BOOL = (_bool, "a boolean")
+NAMES = (lambda text: tuple(_items(text)), "a comma-separated list")
+NUMBERS = (lambda text: [float(item) for item in _items(text)], "a comma-separated number list")
+DATASET = (builtin_spec, f"one of {', '.join(sorted(BUILTIN_SPECS))}")
+
+# key -> (field, parser)
+KEYS = {
+    "dataset": ("spec", DATASET),
+    "data.path": ("data_path", TEXT),
+    "methods": ("methods", NAMES),
+    "repeats": ("repeats", INT),
+    "seed": ("base_seed", INT),
+    "workers": ("workers", INT),
+    "train.lambda": ("lam", FLOAT),
+    "train.epochs": ("epochs", INT),
+    "train.batch_size": ("batch_size", INT),
+    "train.lr": ("lr", FLOAT),
+    "train.h_slope": ("h_slope", FLOAT),
+    "train.adversary_mode": ("adversary_mode", TEXT),
+    "train.fair_mode": ("fair_mode", TEXT),
+    "train.loss_kind": ("loss_kind", TEXT),
+    "train.z_dim": ("z_dim", INT),
+    "train.encoder_hidden": ("encoder_hidden", INT),
+    "train.predictor_hidden": ("predictor_hidden", INT),
+    "train.steps_per_player": ("steps_per_player", INT),
+    "ae.e": ("ae_e", INT),
+    "ae.epochs": ("ae_epochs", INT),
+    "ae.input": ("ae_input", TEXT),
+    "baseline.ae_latent": ("baseline_ae_latent", INT),
+    "baseline.ae_epochs": ("baseline_ae_epochs", INT),
+    "boost.rounds": ("boost_rounds", INT),
+    "boost.learning_rate": ("boost_lr", FLOAT),
+    "metrics.cv_sqrt": ("cv_sqrt", BOOL),
+    "sweep.lambdas": ("sweep_lambdas", NUMBERS),
+    "out.path": ("out_path", TEXT),
+    "out.format": ("out_format", TEXT),
+    "out.history_dir": ("history_dir", TEXT),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -57,7 +86,7 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -70,50 +99,17 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def get_str(cfg: dict, key: str, default=None) -> str:
-    return cfg.get(key, default)
-
-
-def get_int(cfg: dict, key: str, default=None) -> int:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def get_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def get_bool(cfg: dict, key: str, default=None) -> bool:
-    if key not in cfg:
-        return default
-    value = cfg[key].lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {cfg[key]!r}")
-
-
-def get_list(cfg: dict, key: str, default=None) -> list:
-    if key not in cfg:
-        return list(default) if default is not None else None
-    return [item.strip() for item in cfg[key].split(",") if item.strip()]
-
-
-def get_float_list(cfg: dict, key: str, default=None) -> list:
-    items = get_list(cfg, key, None)
-    if items is None:
-        return list(default) if default is not None else None
-    try:
-        return [float(item) for item in items]
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated number list") from None
+def parse_fields(values: dict) -> tuple:
+    """(ExperimentConfig fields, TrainConfig fields) that the `key = value`
+    pairs set, each value parsed by its key's parser."""
+    experiment, train = {}, {}
+    for key, text in values.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        name, (parse, accepts) = KEYS[key]
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be {accepts}, got {text!r}") from None
+        (train if key.startswith("train.") else experiment)[name] = value
+    return experiment, train

@@ -15,6 +15,7 @@ BUILTIN_SPECS; raw CSVs are not vendored and must be supplied by the caller
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,14 @@ class DatasetSpec:
     sensitive_columns: tuple
     continuous_columns: tuple
     categorical_columns: tuple
-    positive_label: str | None = None
+    positive_label: str | None = None  # with negative_label: the target's two labels
+    negative_label: str | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        if (self.positive_label is None) != (self.negative_label is None):
+            raise ValueError("name both target labels or neither")
         groups = [
             set(self.sensitive_columns),
             set(self.continuous_columns),
@@ -98,6 +102,7 @@ BUILTIN_SPECS = {
         ),
         categorical_columns=("workclass", "occupation", "marital_status"),
         positive_label=">50K",
+        negative_label="<=50K",
     ),
 }
 
@@ -197,19 +202,30 @@ def load_csv(path, spec: DatasetSpec) -> RawTable:
 
 
 def _parse_float(cell, column, line_num):
+    """A finite float: one inf cell would turn its whole standardized column NaN."""
     try:
-        return float(cell)
+        value = float(cell)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise ParseError(
-            f"cannot parse {cell!r} in column {column!r} at line {line_num}"
-        ) from None
+        pass
+    raise ParseError(
+        f"cannot parse {cell!r} in column {column!r} as a finite number at line {line_num}"
+    )
 
 
 def _parse_target(cell, spec, line_num):
     if spec.task == "regression":
         return _parse_float(cell, spec.target_column, line_num)
+    if cell == spec.positive_label:
+        return 1.0
+    if cell == spec.negative_label:
+        return 0.0
     if spec.positive_label is not None:
-        return 1.0 if cell == spec.positive_label else 0.0
+        raise ParseError(
+            f"target must be {spec.positive_label!r} or {spec.negative_label!r}, "
+            f"got {cell!r} at line {line_num}"
+        )
     value = _parse_float(cell, spec.target_column, line_num)
     if value not in (0.0, 1.0):
         raise ParseError(

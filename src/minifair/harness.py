@@ -22,18 +22,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autoencoder import fit_autoencoder, pretrain
+from .autoencoder import AE_INPUT_MODES, fit_autoencoder, pretrain
 from .baselines import build_representation, fit_linear, fit_stumps, predict
-from .config import (
-    ConfigError,
-    get_bool,
-    get_float,
-    get_float_list,
-    get_int,
-    get_list,
-    get_str,
-)
-from .data import DatasetSpec, builtin_spec, load_csv, preprocess, split
+from .config import ConfigError, parse_fields
+from .data import DatasetSpec, load_csv, preprocess, split
 from .metrics import (
     benefits,
     classification_metrics,
@@ -57,6 +49,8 @@ METHODS = (
 
 REGRESSION_METRIC_NAMES = ("rmse", "mae", "r2", "wasserstein", "gaussian_mmd")
 CLASSIFICATION_METRIC_NAMES = ("precision", "recall", "f1", "balanced_acc", "cv", "ti")
+
+REPORT_FORMATS = ("csv", "json")
 
 # Gap-penalty weight when the config does not set one: the large-scale
 # benchmark needs a much stronger penalty than the two small ones.
@@ -93,56 +87,35 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"method list {list(self.methods)} names a method twice")
+        if self.ae_input not in AE_INPUT_MODES:
+            raise ValueError(
+                f"unknown ae.input {self.ae_input!r}; expected one of {AE_INPUT_MODES}"
+            )
+        if self.out_format not in REPORT_FORMATS:
+            raise ValueError(_unknown_format(self.out_format))
+        if self.spec.task == "regression" and self.train.loss_kind == "binary_cross_entropy":
+            raise ValueError(
+                f"train.loss_kind binary_cross_entropy needs 0/1 targets, "
+                f"but {self.spec.name} is a regression dataset"
+            )
 
 
-def experiment_config_from_dict(cfg: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed `key = value` pairs."""
-    dataset = get_str(cfg, "dataset")
-    if dataset is None:
-        raise ConfigError("config needs a dataset")
-    spec = builtin_spec(dataset)
-    data_path = get_str(cfg, "data.path")
-    if data_path is None:
-        raise ConfigError("config needs data.path")
-    loss_kind = get_str(
-        cfg, "train.loss_kind",
-        "smooth_l1" if spec.task == "regression" else "binary_cross_entropy",
-    )
-    train_cfg = TrainConfig(
-        lam=get_float(cfg, "train.lambda", DEFAULT_LAMBDA.get(dataset, 1.0)),
-        epochs=get_int(cfg, "train.epochs", 200),
-        batch_size=get_int(cfg, "train.batch_size", 64),
-        lr=get_float(cfg, "train.lr", 1e-3),
-        h_slope=get_float(cfg, "train.h_slope", 0.01),
-        adversary_mode=get_str(cfg, "train.adversary_mode", "own_loss"),
-        fair_mode=get_str(cfg, "train.fair_mode", "own_loss"),
-        loss_kind=loss_kind,
-        z_dim=get_int(cfg, "train.z_dim", 8),
-        encoder_hidden=get_int(cfg, "train.encoder_hidden", 32),
-        predictor_hidden=get_int(cfg, "train.predictor_hidden", 16),
-        steps_per_player=get_int(cfg, "train.steps_per_player", 1),
-    )
-    return ExperimentConfig(
-        spec=spec,
-        data_path=data_path,
-        methods=tuple(get_list(cfg, "methods", METHODS)),
-        repeats=get_int(cfg, "repeats", 100),
-        base_seed=get_int(cfg, "seed", 0),
-        train=train_cfg,
-        ae_e=get_int(cfg, "ae.e", 4),
-        ae_epochs=get_int(cfg, "ae.epochs", 100),
-        ae_input=get_str(cfg, "ae.input", "sensitive_only"),
-        baseline_ae_latent=get_int(cfg, "baseline.ae_latent", 8),
-        baseline_ae_epochs=get_int(cfg, "baseline.ae_epochs", 100),
-        boost_rounds=get_int(cfg, "boost.rounds", 100),
-        boost_lr=get_float(cfg, "boost.learning_rate", 0.1),
-        cv_sqrt=get_bool(cfg, "metrics.cv_sqrt", False),
-        workers=get_int(cfg, "workers", 1),
-        sweep_lambdas=get_float_list(cfg, "sweep.lambdas", None),
-        out_path=get_str(cfg, "out.path"),
-        out_format=get_str(cfg, "out.format", "csv"),
-        history_dir=get_str(cfg, "out.history_dir"),
-    )
+def experiment_config_from_dict(values: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from parsed `key = value` pairs. A key that
+    is not set keeps its dataclass field's default, except that the gap
+    weight and the loss follow the dataset."""
+    fields, train_fields = parse_fields(values)
+    for key, name in (("dataset", "spec"), ("data.path", "data_path")):
+        if name not in fields:
+            raise ConfigError(f"config needs {key}")
+    spec = fields["spec"]
+    if spec.name in DEFAULT_LAMBDA:
+        train_fields.setdefault("lam", DEFAULT_LAMBDA[spec.name])
+    if spec.task == "classification":
+        train_fields.setdefault("loss_kind", "binary_cross_entropy")
+    return ExperimentConfig(**fields, train=TrainConfig(**train_fields))
 
 
 @dataclass
@@ -476,7 +449,7 @@ def emit_report(report: AggregateReport, fmt: str, path) -> None:
             "failures": report.failures,
         })
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ValueError(_unknown_format(fmt))
 
 
 def emit_sweep_report(per_lambda: dict, fmt: str, path) -> None:
@@ -498,7 +471,11 @@ def emit_sweep_report(per_lambda: dict, fmt: str, path) -> None:
             for lam, (stats, names) in invfair.items()
         }})
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ValueError(_unknown_format(fmt))
+
+
+def _unknown_format(fmt) -> str:
+    return f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}"
 
 
 def _stats_json(stats, names) -> dict:

@@ -39,6 +39,7 @@ import numpy as np
 from .autoencoder import EmbeddingTable, SensitiveAutoencoder, build_embedding_table
 from .data import ProcessedDataset
 from .neural import (
+    LOSS_KINDS,
     MLP,
     adam_step,
     backward,
@@ -87,14 +88,18 @@ class TrainConfig:
     steps_per_player: int = 1
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:  # also rejects NaN
             raise ValueError("lambda must be >= 0")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.adversary_mode not in ADVERSARY_MODES:
             raise ValueError(f"unknown adversary mode {self.adversary_mode!r}")
         if self.fair_mode not in FAIR_MODES:
             raise ValueError(f"unknown fair mode {self.fair_mode!r}")
+        if self.loss_kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.steps_per_player < 1:
             raise ValueError("steps_per_player must be >= 1")
 

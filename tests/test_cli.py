@@ -138,6 +138,41 @@ class TestScore:
         )
 
 
+# name -> (command, extra config lines, extra CLI arguments, stderr fragment)
+LOAD_TIME_CASES = {
+    "format-xml": ("run", "out.format = xml\n", [], "unknown report format 'xml'"),
+    "ae-input-bogus": ("run", "ae.input = bogus\n", [], "unknown ae.input 'bogus'"),
+    "loss-kind-bogus": ("run", "train.loss_kind = bogus\n", [], "unknown loss kind 'bogus'"),
+    "bce-on-regression": (
+        "run", "train.loss_kind = binary_cross_entropy\n", [], "law is a regression dataset"),
+    "lambda-nan": ("run", "train.lambda = nan\n", [], "lambda must be >= 0"),
+    "lr-nan": ("run", "train.lr = nan\n", [], "lr must be > 0"),
+    "lr-zero": ("run", "train.lr = 0\n", [], "lr must be > 0"),
+    "methods-twice": ("run", "methods = invfair, invfair\n", [], "names a method twice"),
+    "method-option-twice": (
+        "run", "", ["--method", "invfair,unaware-lr,invfair"], "names a method twice"),
+    "lambda-option-abc": (
+        "sweep", "", ["--lambda", "abc"], "sweep.lambdas must be a comma-separated number list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_TIME_CASES))
+def test_bad_value_fails_before_the_csv_is_read(name, tmp_path, monkeypatch, capsys):
+    from minifair import harness
+
+    def load_csv(*args, **kwargs):
+        raise AssertionError("load_csv called")
+
+    monkeypatch.setattr(harness, "load_csv", load_csv)
+    command, extra, args, message = LOAD_TIME_CASES[name]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset = law\ndata.path = law.csv\nrepeats = 2\n" + extra)
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # np.unique on floats imports numpy.ma, which adds ~1.2 MB (3%) to the peak
 # RSS of a compas sweep; the CLI needs none of it.
 NO_MA_CASES = {

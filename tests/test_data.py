@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -88,6 +89,7 @@ class TestLoadCsv:
             continuous_columns=("x",),
             categorical_columns=(),
             positive_label="yes",
+            negative_label="no",
         )
         path = tmp_path / "tiny.csv"
         path.write_text("g,x,label\na,1.0,yes\nb,2.0,no\na,3.0,yes\n")
@@ -308,6 +310,74 @@ def test_sensitive_columns_never_reach_x(table):
     other = _process(spec, [{**r, **s} for r, s in zip(rows, redraw)], train)
     assert other.X.tobytes() == ds.X.tobytes()
     assert other.column_names == ds.column_names
+
+
+NON_FINITE = st.one_of(
+    st.sampled_from(["inf", "-inf", "+inf", "Infinity", "-nan", "+nan"]),
+    st.integers(309, 5000).map(lambda k: f"{'-' if k % 2 else ''}1e{k}"),
+)
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@given(
+    rows=st.lists(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 3), min_size=1,
+                  max_size=12),
+    where=st.tuples(st.integers(0, 11), st.sampled_from(["lsat", "ugpa", "fya"])),
+    cell=NON_FINITE,
+)
+@settings(max_examples=60, deadline=None)
+def test_non_finite_cell_rejected_with_its_line(rows, where, cell):
+    row_i, column = where[0] % len(rows), where[1]
+    header = ["race", "gender", "lsat", "ugpa", "fya"]
+    table = [["a", "m"] + [repr(v) for v in row] for row in rows]
+    table[row_i][header.index(column)] = cell
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "law.csv"
+        _write_rows(path, header, table)
+        with pytest.raises(ParseError, match=f"{column!r} as a finite number at line {row_i + 2}$"):
+            load_csv(path, builtin_spec("law"))
+
+
+@given(
+    labels=st.lists(st.sampled_from([">50K", "<=50K"]), min_size=1, max_size=12),
+    row_i=st.integers(0, 11),
+    label=st.one_of(
+        st.sampled_from([">50K.", "<=50K.", "garbage", ">50k", "1", "0"]),
+        st.text("<=>.50Kkx", min_size=1),
+    ).filter(lambda t: t not in (">50K", "<=50K")),
+)
+@settings(max_examples=60, deadline=None)
+def test_unknown_class_label_rejected_with_its_line(labels, row_i, label):
+    spec = builtin_spec("adult")
+    row_i %= len(labels)
+    labels[row_i] = label
+    header = list(spec.used_columns)
+    cells = {c: "1" for c in spec.continuous_columns}
+    table = [[cells.get(c, "a") for c in header[:-1]] + [y] for y in labels]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "adult.csv"
+        _write_rows(path, header, table)
+        with pytest.raises(ParseError, match=re.escape(f"got {label!r} at line {row_i + 2}")):
+            load_csv(path, spec)
+
+
+def test_spec_names_both_labels_or_neither():
+    with pytest.raises(ValueError, match="both target labels"):
+        DatasetSpec(
+            name="half",
+            task="classification",
+            target_column="y",
+            sensitive_columns=("g",),
+            continuous_columns=(),
+            categorical_columns=(),
+            positive_label="yes",
+        )
 
 
 def test_builtin_spec_unknown_name():
