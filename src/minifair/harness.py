@@ -8,7 +8,7 @@ Repeats are independent, so a worker pool can execute them in parallel; the
 aggregation order is fixed by repeat index either way and reports are
 byte-stable for identical configurations. A lambda sweep is one pass over the
 repeats: each repeat builds its split, preprocessing and sensitive embedder
-once and trains the minimax model once per lambda.
+once and trains the minimax models of all lambdas together, in lock-step.
 """
 from __future__ import annotations
 
@@ -95,6 +95,17 @@ class ExperimentConfig:
             )
         if self.out_format not in REPORT_FORMATS:
             raise ValueError(_unknown_format(self.out_format))
+        for key, value in (
+            ("ae.e", self.ae_e),
+            ("ae.epochs", self.ae_epochs),
+            ("baseline.ae_latent", self.baseline_ae_latent),
+            ("baseline.ae_epochs", self.baseline_ae_epochs),
+            ("boost.rounds", self.boost_rounds),
+        ):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        if not math.isfinite(self.boost_lr):
+            raise ValueError(f"boost.learning_rate must be finite, got {self.boost_lr!r}")
         if self.spec.task == "regression" and self.train.loss_kind == "binary_cross_entropy":
             raise ValueError(
                 f"train.loss_kind binary_cross_entropy needs 0/1 targets, "
@@ -236,8 +247,9 @@ def run_one_repeat(args):
     `args` is (cfg, raw, repeat_index), which trains at cfg.train.lam, or
     (cfg, raw, repeat_index, lambdas). The split, the preprocessing, the
     sensitive embedder and the baseline autoencoder do not depend on λ and are
-    built once; the minimax model is trained, and the methods that use it are
-    scored, once per λ. Top level so worker pools can pickle it.
+    built once; the minimax model is trained for every λ at once, in
+    lock-step, and the methods that use it are scored once per λ. Top level
+    so worker pools can pickle it.
     """
     cfg, raw, repeat_index, *sweep = args
     lambdas = sweep[0] if sweep else (cfg.train.lam,)
@@ -286,12 +298,11 @@ def run_one_repeat(args):
         X=train_ds.X,
         input_mode=cfg.ae_input,
     )
-    for lam in lambdas:
+    outcomes = train(train_ds, sens_ae, replace(cfg.train, seed=seed), lambdas)
+    for lam, fitted in zip(lambdas, outcomes):
         trained = train_error = None
-        try:
-            fitted = train(train_ds, sens_ae, replace(cfg.train, lam=lam, seed=seed))
-        except TrainingDiverged as exc:
-            train_error = str(exc)
+        if isinstance(fitted, TrainingDiverged):
+            train_error = str(fitted)
         else:
             trained = fitted.model
             if cfg.history_dir:

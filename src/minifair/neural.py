@@ -4,10 +4,16 @@ gradients, losses, and Adam.
 Everything is float64. Networks are plain dataclasses of numpy arrays with no
 hidden state, so independent seeded runs are trivially parallel. One trainer
 mutates one network at a time; nothing here locks.
+
+A stacked network holds L networks of one shape that step together: each
+weight matrix is (L, in_dim, out_dim) and each bias (L, out_dim). forward,
+backward and adam_step treat the leading axis as independent models, and a
+plain (n, in_dim) batch is shared by all of them through matmul broadcasting.
+Each slice computes exactly what its plain network computes on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,29 +51,29 @@ def leaky_relu_grad(t, slope: float = LEAKY_SLOPE):
 class DenseLayer:
     """One fully-connected layer: out = activation(x @ weights + bias)."""
 
-    weights: np.ndarray  # (in_dim, out_dim)
-    bias: np.ndarray     # (out_dim,)
+    weights: np.ndarray  # (in_dim, out_dim), or (L, in_dim, out_dim) stacked
+    bias: np.ndarray     # (out_dim,), or (L, out_dim) stacked
     activation: str = "identity"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.bias = np.asarray(self.bias, dtype=float)
-        if self.weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-D, got shape {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[1],):
+        if self.weights.ndim < 2:
+            raise ShapeError(f"weights must be 2-D or stacked, got shape {self.weights.shape}")
+        if self.bias.shape != self.weights.shape[:-2] + self.weights.shape[-1:]:
             raise ShapeError(
-                f"bias shape {self.bias.shape} does not match out_dim {self.weights.shape[1]}"
+                f"bias shape {self.bias.shape} does not match out_dim {self.weights.shape[-1]}"
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 @dataclass
@@ -124,7 +130,8 @@ class ForwardPass:
     """One recorded forward pass: each layer's input and pre-activation.
 
     backward reads these instead of replaying the pass, so a record is valid
-    only until the network's parameters change. len() is the row count.
+    only until the network's parameters change. len() is the length of the
+    output's first axis: the row count of a plain pass, L of a stacked one.
     """
 
     inputs: list
@@ -138,18 +145,20 @@ class ForwardPass:
 def forward(net: MLP, batch: np.ndarray, record: bool = False) -> np.ndarray | ForwardPass:
     """Activations of the final layer for a (n, in_dim) batch.
 
-    With record=True returns the ForwardPass that backward takes instead.
+    A stacked network takes a shared (n, in_dim) batch or one (L, n, in_dim)
+    batch per slice and returns (L, n, out_dim). With record=True returns the
+    ForwardPass that backward takes instead.
     """
     a = np.asarray(batch, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"batch must be 2-D, got shape {a.shape}")
-    if a.shape[1] != net.in_dim:
-        raise ShapeError(f"batch has {a.shape[1]} columns, network expects {net.in_dim}")
+    if a.ndim < 2:
+        raise ShapeError(f"batch must be 2-D or stacked, got shape {a.shape}")
+    if a.shape[-1] != net.in_dim:
+        raise ShapeError(f"batch has {a.shape[-1]} columns, network expects {net.in_dim}")
     inputs = []
     pre_acts = []
     for layer in net.layers:
         inputs.append(a)
-        z = a @ layer.weights + layer.bias
+        z = a @ layer.weights + layer.bias[..., None, :]
         pre_acts.append(z)
         a = _activate(z, layer.activation)
     return ForwardPass(inputs, pre_acts, a) if record else a
@@ -159,28 +168,32 @@ def backward(net: MLP, recorded: ForwardPass, loss_grad_at_output: np.ndarray) -
     """Exact reverse-mode gradients of a scalar loss.
 
     recorded is forward(net, batch, record=True) under the current parameters;
-    loss_grad_at_output is d(loss)/d(final activations), shape (n, out_dim).
-    Returns gradients for every weight and bias plus the input batch.
+    loss_grad_at_output is d(loss)/d(final activations), shaped like the
+    recorded output. Returns gradients for every weight and bias plus the
+    input batch; a stacked network gets each slice's gradients of its own loss.
     """
     g = np.asarray(loss_grad_at_output, dtype=float)
-    if g.shape != (len(recorded), net.out_dim):
+    if g.shape != recorded.output.shape:
         raise ShapeError(
-            f"output gradient shape {g.shape} does not match ({len(recorded)}, {net.out_dim})"
+            f"output gradient shape {g.shape} does not match {recorded.output.shape}"
         )
 
     layer_grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         g = g * _activate_grad(recorded.pre_acts[i], layer.activation)
-        d_w = recorded.inputs[i].T @ g
-        d_b = g.sum(axis=0)
+        d_w = recorded.inputs[i].mT @ g
+        d_b = g.sum(axis=-2)
         layer_grads[i] = (d_w, d_b)
-        g = g @ layer.weights.T
+        g = g @ layer.weights.mT
     return Gradients(layer_grads, g)
 
 
-def loss(kind: str, prediction, target) -> float:
+def loss(kind: str, prediction, target) -> float | np.ndarray:
     """Mean per-sample loss.
+
+    The last axis of prediction holds the samples. A stacked (L, n)
+    prediction gives the (L,) losses of its rows against one target vector.
 
     smooth_l1 uses 0.5*d^2 below |d| = 1 and |d| - 0.5 above; the kink is C1.
     binary_cross_entropy takes raw scores (logits) and applies the logistic
@@ -196,13 +209,15 @@ def loss(kind: str, prediction, target) -> float:
         per = d * d
     else:  # binary_cross_entropy
         per = np.maximum(p, 0.0) - p * t + np.log1p(np.exp(-np.abs(p)))
-    return float(per.mean())
+    mean = per.sum(axis=-1) / p.shape[-1]
+    return float(mean) if p.ndim == 1 else mean
 
 
 def loss_grad(kind: str, prediction, target) -> np.ndarray:
-    """Gradient of the mean loss with respect to each prediction."""
+    """Gradient of the mean loss with respect to each prediction; a stacked
+    prediction's rows each average over their own samples."""
     p, t = _check_loss_args(kind, prediction, target)
-    n = p.size
+    n = p.shape[-1]
     if kind == "smooth_l1":
         d = p - t
         return np.where(np.abs(d) < 1.0, d, np.sign(d)) / n
@@ -225,12 +240,14 @@ def sigmoid(z):
 def _check_loss_args(kind, prediction, target):
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    p = np.asarray(prediction, dtype=float).ravel()
+    p = np.asarray(prediction, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
     t = np.asarray(target, dtype=float).ravel()
     if p.size == 0:
         raise ValueError("empty prediction vector")
-    if p.size != t.size:
-        raise ValueError(f"prediction length {p.size} != target length {t.size}")
+    if p.shape[-1] != t.size:
+        raise ValueError(f"prediction length {p.shape[-1]} != target length {t.size}")
     if kind == "binary_cross_entropy" and not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("binary_cross_entropy targets must be 0 or 1")
     return p, t
@@ -260,7 +277,8 @@ def adam_step(net: MLP, grads: Gradients, state: AdamState,
               direction: str = "descend") -> None:
     """Standard bias-corrected Adam update, in place.
 
-    direction "ascend" negates the gradient before the update.
+    direction "ascend" negates the gradient before the update. A stacked
+    network's slices share the step count and each moves by its own moments.
     """
     if direction not in ("descend", "ascend"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -307,3 +325,33 @@ def init_mlp(dims, activations, seed: int) -> MLP:
         w = rng.uniform(-1.0, 1.0, size=(d_in, d_out)) / np.sqrt(d_in)
         layers.append(DenseLayer(w, np.zeros(d_out), act))
     return MLP(layers)
+
+
+def stack(net: MLP, copies: int) -> MLP:
+    """`copies` copies of a plain network as one stacked network."""
+    return MLP([
+        DenseLayer(
+            np.repeat(layer.weights[None], copies, axis=0),
+            np.repeat(layer.bias[None], copies, axis=0),
+            layer.activation,
+        )
+        for layer in net.layers
+    ])
+
+
+def take(net: MLP, index) -> MLP:
+    """Slices of a stacked network: an integer index gives a plain network
+    whose arrays are views of the stack, an index array a smaller stack."""
+    return MLP([
+        DenseLayer(layer.weights[index], layer.bias[index], layer.activation)
+        for layer in net.layers
+    ])
+
+
+def take_adam(state: AdamState, index) -> AdamState:
+    """The Adam moments of the slices `index` of a stacked network."""
+    return replace(
+        state,
+        m=[(w[index], b[index]) for w, b in state.m],
+        v=[(w[index], b[index]) for w, b in state.v],
+    )

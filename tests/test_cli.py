@@ -151,6 +151,26 @@ LOAD_TIME_CASES = {
     "methods-twice": ("run", "methods = invfair, invfair\n", [], "names a method twice"),
     "method-option-twice": (
         "run", "", ["--method", "invfair,unaware-lr,invfair"], "names a method twice"),
+    "h-slope-nan": ("run", "train.h_slope = nan\n", [], "h_slope must be finite"),
+    "h-slope-inf": ("run", "train.h_slope = inf\n", [], "h_slope must be finite"),
+    "epochs-negative": ("run", "train.epochs = -1\n", [], "epochs must be >= 0"),
+    "z-dim-zero": ("run", "train.z_dim = 0\n", [], "z_dim must be >= 1"),
+    "encoder-hidden-zero": (
+        "run", "train.encoder_hidden = 0\n", [], "encoder_hidden must be >= 1"),
+    "predictor-hidden-zero": (
+        "run", "train.predictor_hidden = 0\n", [], "predictor_hidden must be >= 1"),
+    "ae-e-zero": ("run", "ae.e = 0\n", [], "ae.e must be >= 1, got 0"),
+    "ae-epochs-zero": ("run", "ae.epochs = 0\n", [], "ae.epochs must be >= 1, got 0"),
+    "baseline-ae-latent-zero": (
+        "run", "baseline.ae_latent = 0\n", [], "baseline.ae_latent must be >= 1, got 0"),
+    "baseline-ae-epochs-zero": (
+        "run", "baseline.ae_epochs = 0\n", [], "baseline.ae_epochs must be >= 1, got 0"),
+    "boost-rounds-zero": ("run", "boost.rounds = 0\n", [], "boost.rounds must be >= 1, got 0"),
+    "boost-lr-nan": (
+        "run", "boost.learning_rate = nan\n", [], "boost.learning_rate must be finite, got nan"),
+    "boost-lr-inf": (
+        "sweep", "boost.learning_rate = -inf\nsweep.lambdas = 1\n", [],
+        "boost.learning_rate must be finite, got -inf"),
     "lambda-option-abc": (
         "sweep", "", ["--lambda", "abc"], "sweep.lambdas must be a comma-separated number list"),
 }

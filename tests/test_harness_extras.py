@@ -50,6 +50,8 @@ def test_history_dump(law_csv, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,fair_loss,adversary_loss,gap_term"
     assert len(lines) == 1 + cfg.train.epochs
+    for line in lines[1:]:
+        [float(cell) for cell in line.split(",")]  # plain numbers, not np.float64(...)
 
 
 def test_sweep_history_per_lambda_and_seed(law_csv, tmp_path):

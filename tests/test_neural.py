@@ -287,3 +287,74 @@ class TestInitMlp:
 def test_sigmoid_matches_naive_in_safe_range():
     z = np.linspace(-30, 30, 101)
     assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-15)
+
+
+class TestStackedNetworks:
+    """Each slice of a stacked network computes bitwise what its plain
+    network computes alone, for a shared batch and for one batch per slice."""
+
+    def _plain_and_stacked(self, seeds):
+        from minifair.neural import stack, take
+
+        plains = [init_mlp([4, 6, 2], ["leaky_relu", "identity"], seed=s) for s in seeds]
+        stacked = stack(plains[0], len(seeds))
+        for i, plain in enumerate(plains):
+            for dst, src in zip(param_arrays(take(stacked, i)), param_arrays(plain)):
+                dst[...] = src
+        return plains, stacked
+
+    def test_stack_repeats_the_plain_network(self):
+        from minifair.neural import stack, take
+
+        net = init_mlp([3, 5, 1], ["leaky_relu", "identity"], seed=1)
+        stacked = stack(net, 3)
+        assert stacked.layers[0].weights.shape == (3, 3, 5)
+        assert stacked.layers[0].bias.shape == (3, 5)
+        assert (stacked.in_dim, stacked.out_dim) == (3, 1)
+        for i in range(3):
+            for got, want in zip(param_arrays(take(stacked, i)), param_arrays(net)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_forward_backward_adam_match_each_slice(self, shared):
+        from minifair.neural import take, take_adam
+
+        rng = np.random.default_rng(3)
+        plains, stacked = self._plain_and_stacked([5, 6, 7])
+        batches = rng.normal(size=(3, 9, 4))
+        batch = batches[0] if shared else batches
+        targets = rng.normal(size=(3, 9, 2))
+        rec = forward(stacked, batch, record=True)
+        grads = backward(stacked, rec, targets)
+        state = init_adam(stacked)
+        adam_step(stacked, grads, state, "ascend")
+        for i, plain in enumerate(plains):
+            xb = batches[0] if shared else batches[i]
+            rec_i = forward(plain, xb, record=True)
+            assert rec.output[i].tobytes() == rec_i.output.tobytes()
+            grads_i = backward(plain, rec_i, targets[i])
+            assert grads.inputs[i].tobytes() == grads_i.inputs.tobytes()
+            state_i = init_adam(plain)
+            adam_step(plain, grads_i, state_i, "ascend")
+            for got, want in zip(param_arrays(take(stacked, i)), param_arrays(plain)):
+                assert got.tobytes() == want.tobytes()
+            kept = take_adam(state, np.array([i]))
+            assert kept.step_count == state_i.step_count
+            for (mw, mb), (pw, pb) in zip(kept.m, state_i.m):
+                assert mw[0].tobytes() == pw.tobytes() and mb[0].tobytes() == pb.tobytes()
+
+    def test_stacked_loss_is_each_rows_loss(self):
+        rng = np.random.default_rng(4)
+        preds = rng.normal(size=(3, 7))
+        y = (rng.random(7) > 0.5).astype(float)
+        for kind in ("smooth_l1", "mse", "binary_cross_entropy"):
+            losses = loss(kind, preds, y)
+            grads = loss_grad(kind, preds, y)
+            assert losses.shape == (3,) and grads.shape == (3, 7)
+            for i in range(3):
+                assert losses[i] == loss(kind, preds[i], y)
+                assert grads[i].tobytes() == loss_grad(kind, preds[i], y).tobytes()
+
+    def test_stacked_bias_shape_checked(self):
+        with pytest.raises(ShapeError):
+            DenseLayer(np.zeros((2, 3, 4)), np.zeros((3, 4)))

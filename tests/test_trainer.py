@@ -230,23 +230,67 @@ class TestTrain:
         assert len(trained.train_history) == cfg.epochs
 
 
+class TestLockStep:
+    def _trained_bytes(self, fitted):
+        nets = (fitted.model.encoder, fitted.model.fair_predictor,
+                fitted.model.sensitive_predictor)
+        return [a.tobytes() for net in nets for a in param_arrays(net)]
+
+    def test_stacked_lambdas_match_each_lambda_alone(self, law_parts):
+        """Every λ trained in one stack ends bitwise where it ends alone. With
+        the ascend_gap adversary, λ = 1e9 trips the guard at step 0 and 1e7
+        in epoch 3, so the stack drops a slice at once and another mid-run."""
+        train_ds, _, ae = law_parts
+        base = dict(FAST, adversary_mode="ascend_gap")
+        lambdas = [0.1, 0.0, 10.0, 1e9, 1e7]
+        stacked = train(train_ds, ae, TrainConfig(**base), lambdas)
+        assert len(stacked) == len(lambdas)
+        for lam, got in zip(lambdas, stacked):
+            try:
+                alone = train(train_ds, ae, TrainConfig(lam=lam, **base))
+            except TrainingDiverged as exc:
+                alone = exc
+            assert type(got) is type(alone), lam
+            if isinstance(alone, TrainingDiverged):
+                assert (got.epoch, got.phase, got.value) == (alone.epoch, alone.phase, alone.value)
+                assert type(got.value) is float
+                continue
+            assert self._trained_bytes(got) == self._trained_bytes(alone), lam
+            assert got.train_history == alone.train_history, lam
+            for net in (got.model.encoder, got.model.fair_predictor):
+                assert all(layer.weights.ndim == 2 for layer in net.layers)
+        assert stacked[3].epoch == 0
+        assert stacked[4].epoch == 3
+
+    def test_all_lambdas_diverging_returns_every_failure(self, law_parts):
+        train_ds, _, ae = law_parts
+        out = train(train_ds, ae, TrainConfig(**FAST), [1e9, 2e9])
+        assert [(o.epoch, o.phase) for o in out] == [(0, "encoder"), (0, "encoder")]
+
+    def test_negative_or_nan_lambda_rejected(self, law_parts):
+        train_ds, _, ae = law_parts
+        for bad in ([1.0, -1.0], [float("nan")], []):
+            with pytest.raises(ValueError):
+                train(train_ds, ae, TrainConfig(**FAST), bad)
+
+
 class TestPlayerIsolation:
     def _record_updates(self, law_parts, monkeypatch, adversary_mode="own_loss", steps=1):
         """Run one epoch of train with adam_step wrapped; return, for each
-        update in order, the player it was given and the players it changed."""
+        update in order, the player it was given and the players it changed.
+        The players are the stacked networks each minibatch step receives."""
         train_ds, _, ae = law_parts
         cfg = TrainConfig(**dict(FAST, epochs=1), adversary_mode=adversary_mode,
                           steps_per_player=steps)
         players = {}
         updates = []
-        real_init = trainer.init_three_player
+        real_minibatch = trainer._step
         real_step = trainer.adam_step
 
-        def capture_players(*args):
-            model = real_init(*args)
+        def capture_players(model, *args):
             for name in ("fair_predictor", "encoder", "sensitive_predictor"):
                 players[name] = getattr(model, name)
-            return model
+            return real_minibatch(model, *args)
 
         def recording_step(net, grads, state, direction="descend"):
             before = {name: [a.copy() for a in param_arrays(p)] for name, p in players.items()}
@@ -258,7 +302,7 @@ class TestPlayerIsolation:
             }
             updates.append((given, changed))
 
-        monkeypatch.setattr(trainer, "init_three_player", capture_players)
+        monkeypatch.setattr(trainer, "_step", capture_players)
         monkeypatch.setattr(trainer, "adam_step", recording_step)
         train(train_ds, ae, cfg)
         return cfg, updates
@@ -299,7 +343,8 @@ class TestPassCounts:
     def test_default_minibatch_runs_six_passes(self, law_parts, monkeypatch):
         """Each pass is recorded once and again only after a player it
         depends on moved: 3 + fair + encoder and adversary = 6 passes.
-        Counting layer activations also catches a pass replayed in backward."""
+        Counting layer activations also catches a pass replayed in backward.
+        model is the stacked model the one minibatch step receives."""
         from minifair import neural
 
         train_ds, _, ae = law_parts
@@ -307,8 +352,14 @@ class TestPassCounts:
         table = build_embedding_table(ae, train_ds.S_onehot)
         nets = []
         activations = []
+        stacked = []
         real_forward = trainer.forward
         real_activate = neural._activate
+        real_minibatch = trainer._step
+
+        def capture_model(model, *args):
+            stacked.append(model)
+            return real_minibatch(model, *args)
 
         def counting_forward(net, *args, **kwargs):
             nets.append(net)
@@ -321,7 +372,9 @@ class TestPassCounts:
         monkeypatch.setattr(trainer, "build_embedding_table", lambda *args: table)
         monkeypatch.setattr(trainer, "forward", counting_forward)
         monkeypatch.setattr(neural, "_activate", counting_activate)
-        model = train(train_ds, ae, cfg).model
+        monkeypatch.setattr(trainer, "_step", capture_model)
+        train(train_ds, ae, cfg)
+        (model,) = stacked
         assert len(nets) == 6
         assert sum(net is model.encoder for net in nets) == 2
         assert len(activations) == 6 * 2  # every player network has two layers
@@ -339,7 +392,7 @@ class TestEncoderGradientFlow:
         if cfg.lam != 0.0:
             zs = np.hstack([z, se])
             s2 = forward(model.sensitive_predictor, zs)[:, 0]
-            gg1, gg2 = _gap_grads(s1, s2, cfg, len(xb))
+            gg1, gg2 = _gap_grads(s1, s2, cfg.lam, cfg.h_slope, len(xb))
             g1 = g1 + gg1
             fair_pass = forward(model.fair_predictor, z, record=True)
             aware_pass = forward(model.sensitive_predictor, zs, record=True)
