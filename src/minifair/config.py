@@ -53,13 +53,10 @@ KEYS = {
     "train.batch_size": ("batch_size", INT),
     "train.lr": ("lr", FLOAT),
     "train.h_slope": ("h_slope", FLOAT),
-    "train.adversary_mode": ("adversary_mode", TEXT),
-    "train.fair_mode": ("fair_mode", TEXT),
     "train.loss_kind": ("loss_kind", TEXT),
     "train.z_dim": ("z_dim", INT),
     "train.encoder_hidden": ("encoder_hidden", INT),
     "train.predictor_hidden": ("predictor_hidden", INT),
-    "train.steps_per_player": ("steps_per_player", INT),
     "ae.e": ("ae_e", INT),
     "ae.epochs": ("ae_epochs", INT),
     "ae.input": ("ae_input", TEXT),

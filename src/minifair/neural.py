@@ -24,6 +24,11 @@ LOSS_KINDS = ("smooth_l1", "binary_cross_entropy", "mse")
 # different slope pass it explicitly to leaky_relu.
 LEAKY_SLOPE = 0.01
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class ShapeError(ValueError):
     """An input's dimensions do not match the network."""
@@ -261,34 +266,26 @@ class AdamState:
     v: list
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(net: MLP, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def init_adam(net: MLP, lr: float = 1e-3) -> AdamState:
     m = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
     v = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
-    return AdamState(m, v, 0, lr, beta1, beta2, eps)
+    return AdamState(m, v, 0, lr)
 
 
-def adam_step(net: MLP, grads: Gradients, state: AdamState,
-              direction: str = "descend") -> None:
-    """Standard bias-corrected Adam update, in place.
+def adam_step(net: MLP, grads: Gradients, state: AdamState) -> None:
+    """Standard bias-corrected Adam descent step, in place.
 
-    direction "ascend" negates the gradient before the update. A stacked
-    network's slices share the step count and each moves by its own moments.
+    A stacked network's slices share the step count and each moves by its
+    own moments.
     """
-    if direction not in ("descend", "ascend"):
-        raise ValueError(f"unknown direction {direction!r}")
     if len(grads.layers) != len(net.layers):
         raise ShapeError("gradient layer count does not match network")
-    sign = -1.0 if direction == "descend" else 1.0
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for i, layer in enumerate(net.layers):
         for j, (param, grad) in enumerate(
             ((layer.weights, grads.layers[i][0]), (layer.bias, grads.layers[i][1]))
@@ -299,13 +296,13 @@ def adam_step(net: MLP, grads: Gradients, state: AdamState,
                 )
             m = state.m[i][j]
             v = state.v[i][j]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * grad
-            v *= state.beta2
-            v += (1.0 - state.beta2) * grad * grad
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
             m_hat = m / bc1
             v_hat = v / bc2
-            param += sign * state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def init_mlp(dims, activations, seed: int) -> MLP:

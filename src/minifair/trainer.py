@@ -1,29 +1,26 @@
 """Alternating three-player training: invariant encoder, fair predictor, and
 sensitive-aware adversary.
 
-Per minibatch the players update round-robin, one at a time, each with its
-own Adam state:
+Per minibatch the players update round-robin, one Adam step each, each with
+its own Adam state:
 
-  1. the fair predictor updates according to fair_mode: "own_loss" descends
-     its own prediction loss (so it keeps recalibrating and the gap pressure
-     acts on the representation, not on a uniform score shift), "total"
-     descends the full objective
-         total = loss(y, fair) + lambda * mean(h(fair - aware));
-  2. the encoder descends the total objective, gradients flowing through
-     both predictors into the latent code while their parameters stay fixed;
-  3. the adversary updates according to adversary_mode: "own_loss" descends
-     its own prediction loss (it stays a strong sensitive-aware predictor),
-     "ascend_gap" ascends the total objective instead.
+  1. the fair predictor descends its own prediction loss, so it keeps
+     recalibrating and the gap pressure acts on the representation, not on a
+     uniform score shift;
+  2. the encoder descends the total objective
+         total = loss(y, fair) + lambda * mean(h(fair - aware)),
+     gradients flowing through both predictors into the latent code while
+     their parameters stay fixed;
+  3. the adversary descends its own prediction loss, so it stays a strong
+     sensitive-aware predictor.
 
-The one-sided leaky gap penalty makes "total" fair_mode drift the fair
-scores systematically below the adversary's, so "own_loss" is the default
-for both predictors.
+This is the usual alternating-adversary practice (Madras et al., LAFTR,
+arXiv:1802.06309).
 
 Each minibatch records the three players' passes once and backpropagates
 through the records. A pass is recorded again only after a player it depends
-on moved: the fair pass after each fair update, the encoder and adversary
-passes after each encoder update (plus the fair pass before another encoder
-step or an ascend_gap adversary), the adversary pass between its own steps.
+on moved: the fair pass after the fair update, the encoder and adversary
+passes after the encoder update.
 
 h is a LeakyReLU with configurable slope, taken per sample on raw scores and
 averaged over the batch. The frozen sensitive embedding table supplies the
@@ -67,9 +64,6 @@ from .neural import (
     take_adam,
 )
 
-ADVERSARY_MODES = ("own_loss", "ascend_gap")
-FAIR_MODES = ("own_loss", "total")
-
 # A run is aborted as diverged when any logged loss passes this bound.
 DIVERGENCE_BOUND = 1e6
 # The losses the guard checks, in order: fair, adversary, encoder's total.
@@ -95,14 +89,11 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     h_slope: float = 0.01
-    adversary_mode: str = "own_loss"
-    fair_mode: str = "own_loss"
     loss_kind: str = "smooth_l1"
     seed: int = 0
     z_dim: int = 8
     encoder_hidden: int = 32
     predictor_hidden: int = 16
-    steps_per_player: int = 1
 
     def __post_init__(self):
         if not self.lam >= 0.0:  # also rejects NaN
@@ -115,14 +106,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.adversary_mode not in ADVERSARY_MODES:
-            raise ValueError(f"unknown adversary mode {self.adversary_mode!r}")
-        if self.fair_mode not in FAIR_MODES:
-            raise ValueError(f"unknown fair mode {self.fair_mode!r}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.steps_per_player < 1:
-            raise ValueError("steps_per_player must be >= 1")
         for name in ("z_dim", "encoder_hidden", "predictor_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -294,8 +279,7 @@ def _step(model, states, xb, yb, se_b, lam, cfg):
     gap_on = lam.any()
     enc = forward(model.encoder, xb, record=True)
     fair = forward(model.fair_predictor, enc.output, record=True)
-    zs = _join(enc.output, se_b)
-    aware = forward(model.sensitive_predictor, zs, record=True)
+    aware = forward(model.sensitive_predictor, _join(enc.output, se_b), record=True)
 
     s1, s2 = fair.output[..., 0], aware.output[..., 0]
     logged = np.empty((len(lam), 4))
@@ -306,42 +290,26 @@ def _step(model, states, xb, yb, se_b, lam, cfg):
     if not np.abs(logged[:, :3]).max() <= DIVERGENCE_BOUND:  # also catches NaN
         return logged, _tripped(logged[:, :3])
 
-    for _ in range(cfg.steps_per_player):
-        g1 = loss_grad(cfg.loss_kind, fair.output[..., 0], yb)
-        if cfg.fair_mode == "total" and gap_on:
-            g1 = g1 + _gap_grads(fair.output[..., 0], aware.output[..., 0], lam, cfg.h_slope, nb)[0]
-        grads = backward(model.fair_predictor, fair, g1[..., None])
-        adam_step(model.fair_predictor, grads, fair_state, "descend")
-        fair = forward(model.fair_predictor, enc.output, record=True)
+    g1 = loss_grad(cfg.loss_kind, s1, yb)
+    grads = backward(model.fair_predictor, fair, g1[..., None])
+    adam_step(model.fair_predictor, grads, fair_state)
+    fair = forward(model.fair_predictor, enc.output, record=True)
 
-    for k in range(cfg.steps_per_player):
-        g1 = loss_grad(cfg.loss_kind, fair.output[..., 0], yb)
-        if gap_on:
-            g_gap1, g_gap2 = _gap_grads(
-                fair.output[..., 0], aware.output[..., 0], lam, cfg.h_slope, nb
-            )
-            g1 = g1 + g_gap1
-        d_z = backward(model.fair_predictor, fair, g1[..., None]).inputs
-        if gap_on:
-            d_zs = backward(model.sensitive_predictor, aware, g_gap2[..., None]).inputs
-            d_z = d_z + d_zs[..., : model.z_dim]
-        adam_step(model.encoder, backward(model.encoder, enc, d_z), enc_state, "descend")
-        enc = forward(model.encoder, xb, record=True)
-        zs = _join(enc.output, se_b)
-        aware = forward(model.sensitive_predictor, zs, record=True)
-        if k + 1 < cfg.steps_per_player or cfg.adversary_mode == "ascend_gap":
-            fair = forward(model.fair_predictor, enc.output, record=True)
+    g1 = loss_grad(cfg.loss_kind, fair.output[..., 0], yb)
+    if gap_on:
+        g_gap1, g_gap2 = _gap_grads(fair.output[..., 0], s2, lam, cfg.h_slope, nb)
+        g1 = g1 + g_gap1
+    d_z = backward(model.fair_predictor, fair, g1[..., None]).inputs
+    if gap_on:
+        d_zs = backward(model.sensitive_predictor, aware, g_gap2[..., None]).inputs
+        d_z = d_z + d_zs[..., : model.z_dim]
+    adam_step(model.encoder, backward(model.encoder, enc, d_z), enc_state)
+    enc = forward(model.encoder, xb, record=True)
+    aware = forward(model.sensitive_predictor, _join(enc.output, se_b), record=True)
 
-    for k in range(cfg.steps_per_player):
-        if cfg.adversary_mode == "own_loss":
-            g2 = loss_grad(cfg.loss_kind, aware.output[..., 0], yb)
-        else:
-            g2 = _gap_grads(fair.output[..., 0], aware.output[..., 0], lam, cfg.h_slope, nb)[1]
-        grads = backward(model.sensitive_predictor, aware, g2[..., None])
-        direction = "descend" if cfg.adversary_mode == "own_loss" else "ascend"
-        adam_step(model.sensitive_predictor, grads, aware_state, direction)
-        if k + 1 < cfg.steps_per_player:
-            aware = forward(model.sensitive_predictor, zs, record=True)
+    g2 = loss_grad(cfg.loss_kind, aware.output[..., 0], yb)
+    grads = backward(model.sensitive_predictor, aware, g2[..., None])
+    adam_step(model.sensitive_predictor, grads, aware_state)
     return logged, []
 
 

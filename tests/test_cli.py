@@ -173,6 +173,9 @@ LOAD_TIME_CASES = {
         "boost.learning_rate must be finite, got -inf"),
     "lambda-option-abc": (
         "sweep", "", ["--lambda", "abc"], "sweep.lambdas must be a comma-separated number list"),
+    "fair-mode-removed": ("run", "train.fair_mode = total\n", [], "unknown key"),
+    "adversary-mode-removed": ("run", "train.adversary_mode = ascend_gap\n", [], "unknown key"),
+    "steps-per-player-removed": ("run", "train.steps_per_player = 2\n", [], "unknown key"),
 }
 
 

@@ -79,13 +79,10 @@ SAMPLES = {
     "train.batch_size": "16",
     "train.lr": "0.01",
     "train.h_slope": "0.2",
-    "train.adversary_mode": "ascend_gap",
-    "train.fair_mode": "total",
     "train.loss_kind": "mse",
     "train.z_dim": "3",
     "train.encoder_hidden": "5",
     "train.predictor_hidden": "6",
-    "train.steps_per_player": "2",
     "ae.e": "2",
     "ae.epochs": "9",
     "ae.input": "all_features",

@@ -223,27 +223,8 @@ class TestAdam:
     def test_first_step_moves_by_lr(self):
         net = self._one_param_net(0.0)
         state = init_adam(net, lr=1e-3)
-        adam_step(net, self._grads_for(net, 1.0), state, "descend")
+        adam_step(net, self._grads_for(net, 1.0), state)
         assert net.layers[0].weights[0, 0] == pytest.approx(-1e-3, rel=1e-6)
-
-    def test_ascend_flips_sign(self):
-        net = self._one_param_net(0.0)
-        state = init_adam(net, lr=1e-3)
-        adam_step(net, self._grads_for(net, 1.0), state, "ascend")
-        assert net.layers[0].weights[0, 0] == pytest.approx(1e-3, rel=1e-6)
-
-    def test_descend_then_ascend_with_reset_state_round_trips(self):
-        rng = np.random.default_rng(12)
-        net = init_mlp([3, 4, 1], ["leaky_relu", "identity"], seed=6)
-        start = [a.copy() for a in param_arrays(net)]
-        batch = rng.normal(size=(5, 3))
-        y = rng.normal(size=5)
-        g_out = loss_grad("mse", forward(net, batch)[:, 0], y).reshape(-1, 1)
-        grads = backward(net, forward(net, batch, record=True), g_out)
-        adam_step(net, grads, init_adam(net), "descend")
-        adam_step(net, grads, init_adam(net), "ascend")
-        for s, a in zip(start, param_arrays(net)):
-            assert np.max(np.abs(s - a)) <= 1e-12
 
     def test_shape_mismatch_raises(self):
         net = self._one_param_net()
@@ -327,7 +308,7 @@ class TestStackedNetworks:
         rec = forward(stacked, batch, record=True)
         grads = backward(stacked, rec, targets)
         state = init_adam(stacked)
-        adam_step(stacked, grads, state, "ascend")
+        adam_step(stacked, grads, state)
         for i, plain in enumerate(plains):
             xb = batches[0] if shared else batches[i]
             rec_i = forward(plain, xb, record=True)
@@ -335,7 +316,7 @@ class TestStackedNetworks:
             grads_i = backward(plain, rec_i, targets[i])
             assert grads.inputs[i].tobytes() == grads_i.inputs.tobytes()
             state_i = init_adam(plain)
-            adam_step(plain, grads_i, state_i, "ascend")
+            adam_step(plain, grads_i, state_i)
             for got, want in zip(param_arrays(take(stacked, i)), param_arrays(plain)):
                 assert got.tobytes() == want.tobytes()
             kept = take_adam(state, np.array([i]))
